@@ -9,12 +9,6 @@
 //!
 //! Run with `cargo run -p seldel-bench --bin exp_growth --release`.
 //!
-//! The backend table includes the `FileStore` twice: synchronous, and in
-//! pipelined-commit mode (`FileStore+pipelined`), where fill fsyncs run
-//! on a background commit stage overlapped with the next seal. A
-//! run-internal gate requires the pipelined mode to stay within 0.9x of
-//! the synchronous throughput even without a baseline file.
-//!
 //! Pass `--baseline <path>` to compare against a previously committed
 //! `BENCH_chain_ops.json`: seal throughput and indexed `locate` latency
 //! must stay within 20% of the baseline on every backend and chain size
@@ -236,32 +230,6 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
-
-    // Run-internal sanity gate, independent of any committed baseline:
-    // the pipelined FileStore must at least match the synchronous one
-    // (0.9x floor — on a fast disk fsyncs are nearly free, so parity is
-    // a legitimate outcome; falling *behind* means the commit stage
-    // serialised work the synchronous path overlapped for free).
-    let plain = backends.iter().find(|b| b.backend == "FileStore");
-    let piped = backends.iter().find(|b| b.backend == "FileStore+pipelined");
-    if let (Some(plain), Some(piped)) = (plain, piped) {
-        println!(
-            "pipelined seal overlap: {:.0} blocks/s vs {:.0} blocks/s synchronous ({:.2}x)",
-            piped.seal_blocks_per_s(),
-            plain.seal_blocks_per_s(),
-            piped.seal_blocks_per_s() / plain.seal_blocks_per_s()
-        );
-        if piped.seal_blocks_per_s() < plain.seal_blocks_per_s() * 0.9 {
-            println!(
-                "::warning title=exp_growth perf regression::pipelined FileStore sealed \
-                 {:.0} blocks/s, below 0.9x of the synchronous {:.0} blocks/s",
-                piped.seal_blocks_per_s(),
-                plain.seal_blocks_per_s()
-            );
-            eprintln!("the pipelined commit stage slowed sealing down instead of overlapping it");
-            std::process::exit(1);
-        }
-    }
 
     if let Some(baseline) = baseline {
         let complaints = regressions(&baseline, &ops, &backends);

@@ -2,8 +2,8 @@
 //! backend (§IV-C physical deletion as a storage-layer obligation).
 //!
 //! Runs the `seldel-sim` crash matrix (mid-push torn frame, mid-prune
-//! interrupted file operations, deferred-commit power cut with the
-//! pipelined fsync stage stalled, clean close) in a scratch directory,
+//! interrupted file operations, power cut with blocks past the durable
+//! watermark, clean close) in a scratch directory,
 //! timing the reopen+recovery path, plus the `TamperPayload` fault
 //! (one flipped bit in a closed store, caught on reopen + incremental
 //! audit), and writes the machine-readable outcome to
@@ -183,7 +183,7 @@ fn main() {
     let rows: Vec<Row> = [
         CrashPoint::MidPush,
         CrashPoint::MidPrune,
-        CrashPoint::DeferredCommit,
+        CrashPoint::PastWatermark,
         CrashPoint::CleanClose,
     ]
     .into_iter()
@@ -217,7 +217,7 @@ fn main() {
     println!(
         "shape check: mid-prune and clean-close lose nothing (the Σ barrier\n\
          fsyncs carried records before the manifest); mid-push loses only\n\
-         the torn tail frame; deferred-commit loses exactly the blocks past\n\
+         the torn tail frame; past-watermark loses exactly the blocks past\n\
          the durable watermark — both re-applied from peers."
     );
 

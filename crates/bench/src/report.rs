@@ -6,7 +6,7 @@
 //! lookups (indexed vs full scan), `live_records` materialisation, chain
 //! validation — on 1k- and 10k-live-block chains, plus two series the
 //! ROADMAP asked for: **seal throughput** (blocks/s through the full
-//! submit→seal→Σ pipeline) and **per-backend timings** comparing
+//! submit→seal→Σ path) and **per-backend timings** comparing
 //! `MemStore`, `SegStore` and a disk-rooted `FileStore` on the same
 //! workload. Everything is serialised as JSON so CI can archive the
 //! trajectory run over run.
@@ -214,13 +214,12 @@ impl ChainOpsSample {
 /// Per-backend timings on an identically sized, identically built chain.
 #[derive(Debug, Clone)]
 pub struct BackendSample {
-    /// Backend name (`MemStore` / `SegStore` / `FileStore` /
-    /// `FileStore+pipelined`).
+    /// Backend name (`MemStore` / `SegStore` / `FileStore`).
     pub backend: &'static str,
     /// Live blocks in the measured chain.
     pub live_blocks: u64,
     /// Nanoseconds per sealed block through the full submit→seal→Σ
-    /// pipeline (entry intake, linkage checks, automatic summaries,
+    /// path (entry intake, linkage checks, automatic summaries,
     /// retention pruning — and, for `FileStore`, the disk writes).
     pub seal_ns: f64,
     /// Indexed `locate` of the oldest (summarised) record.
@@ -317,9 +316,8 @@ pub fn measure_backend_ops<S: BlockStore>(
     let blocks = live_blocks + 30;
     let start = Instant::now();
     let mut ledger = build_ledger_with_store(store, 10, live_blocks, blocks, 1, 16);
-    // Land every deferred fsync inside the timed region so a pipelined
-    // backend is charged for its whole durability bill, not just the
-    // overlapped part (no-op on in-memory backends).
+    // End on a durability barrier so a durable backend is charged for the
+    // tail fsync it still owes (no-op on in-memory backends).
     ledger.commit_durable();
     let seal_ns = start.elapsed().as_nanos() as f64 / blocks as f64;
 
@@ -346,42 +344,29 @@ pub fn measure_backend_ops<S: BlockStore>(
     }
 }
 
-/// Measures the shipped backends on `live_blocks`-sized chains: the three
-/// synchronous ones plus the `FileStore` in pipelined-commit mode (fill
-/// fsyncs overlapped with sealing by the background commit stage; the
-/// timed region still ends on a full durability barrier). Both durable
-/// rows run rooted in scratch directories (real disk writes), removed
-/// afterwards.
+/// Measures the shipped backends on `live_blocks`-sized chains. The
+/// `FileStore` row runs rooted in scratch directories (real disk writes),
+/// removed afterwards.
 pub fn measure_backends(live_blocks: u64) -> Vec<BackendSample> {
     vec![
         measure_backend_ops("MemStore", MemStore::default(), live_blocks),
         measure_backend_ops("SegStore", SegStore::default(), live_blocks),
-        best_durable_sample("FileStore", live_blocks, |dir| {
-            FileStore::open(dir).expect("scratch store opens")
-        }),
-        best_durable_sample("FileStore+pipelined", live_blocks, |dir| {
-            FileStore::open(dir)
-                .expect("scratch store opens")
-                .with_pipelined_commits()
-        }),
+        best_durable_sample(live_blocks),
     ]
 }
 
 /// Disk-rooted seal timings jitter ±10% run to run on shared hosts, which
-/// would make the run-internal pipelined-vs-plain gate flaky. Each durable
-/// row therefore takes the best of three passes — the work is
-/// deterministic, so the minimum wall time is the least-interfered
-/// measurement — against a fresh scratch directory per pass.
-fn best_durable_sample(
-    backend: &'static str,
-    live_blocks: u64,
-    make: impl Fn(&std::path::Path) -> FileStore,
-) -> BackendSample {
+/// would make the baseline gate flaky. The durable row therefore takes
+/// the best of three passes — the work is deterministic, so the minimum
+/// wall time is the least-interfered measurement — against a fresh
+/// scratch directory per pass.
+fn best_durable_sample(live_blocks: u64) -> BackendSample {
     (0..3)
         .map(|pass| {
             let scratch =
-                seldel_chain::testutil::ScratchDir::new(&format!("bench-{backend}-{pass}"));
-            measure_backend_ops(backend, make(scratch.path()), live_blocks)
+                seldel_chain::testutil::ScratchDir::new(&format!("bench-FileStore-{pass}"));
+            let store = FileStore::open(scratch.path()).expect("scratch store opens");
+            measure_backend_ops("FileStore", store, live_blocks)
         })
         .min_by(|a, b| a.seal_ns.total_cmp(&b.seal_ns))
         .expect("three passes ran")
@@ -394,10 +379,10 @@ fn best_durable_sample(
 /// timed measurements above run with telemetry at its default-off state
 /// (so the gates never pay for instrumentation), then the same workload
 /// shape is repeated once under recording so the committed `BENCH_*.json`
-/// carries the internals — fsync quantiles, group-commit batch sizes,
-/// cache hit/miss traffic. The global enable switch is restored on the
-/// way out, and the whole pass holds the telemetry test lock so parallel
-/// test binaries cannot interleave their registries.
+/// carries the internals — fsync quantiles, cache hit/miss traffic. The
+/// global enable switch is restored on the way out, and the whole pass
+/// holds the telemetry test lock so parallel test binaries cannot
+/// interleave their registries.
 pub fn collect_telemetry(workload: impl FnOnce()) -> TelemetrySnapshot {
     let _serial = seldel_telemetry::testing::serial();
     let was_enabled = seldel_telemetry::enabled();
@@ -531,16 +516,14 @@ pub fn write_chain_ops_report(
         .collect();
     let backends = measure_backends(1_000);
     // Untimed collection pass (see [`collect_telemetry`]): a disk-rooted
-    // **pipelined** workload with a deliberately tight hot cache, so the
-    // committed report shows fsync quantiles, group-commit batch sizes,
-    // commit-queue depth and real cache hit/miss/evict traffic.
+    // workload with a deliberately tight hot cache, so the committed
+    // report shows fsync quantiles and real cache hit/miss/evict traffic.
     let telemetry = collect_telemetry(|| {
         let scratch = seldel_chain::testutil::ScratchDir::new("bench-telemetry");
         let store = FileStore::open(scratch.path())
             .expect("scratch store opens")
-            .with_hot_cache_capacity(32)
-            .with_pipelined_commits();
-        measure_backend_ops("FileStore+pipelined", store, 200);
+            .with_hot_cache_capacity(32);
+        measure_backend_ops("FileStore", store, 200);
     });
     std::fs::write(path, to_json(&samples, &backends, &telemetry))?;
     Ok((samples, backends))
@@ -577,7 +560,7 @@ mod tests {
         // A private registry stands in for a collection pass.
         let reg = Registry::new();
         reg.counter("fstore.cache.hit").add(7);
-        reg.gauge("fstore.commit.queue_peak").set(3);
+        reg.gauge("anchor.announce_queue.depth").set(3);
         reg.histogram("fstore.fsync.ns").record(125_000);
         let telemetry = reg.snapshot();
         let json = to_json(
@@ -681,10 +664,7 @@ mod tests {
     fn backend_measurement_covers_every_backend_mode() {
         let backends = measure_backends(60);
         let names: Vec<&str> = backends.iter().map(|b| b.backend).collect();
-        assert_eq!(
-            names,
-            ["MemStore", "SegStore", "FileStore", "FileStore+pipelined"]
-        );
+        assert_eq!(names, ["MemStore", "SegStore", "FileStore"]);
         for b in &backends {
             assert!(b.seal_ns > 0.0, "{}: no seal time", b.backend);
             assert!(b.live_blocks >= 55 && b.live_blocks <= 70, "{b:?}");

@@ -509,14 +509,6 @@ impl<S: BlockStore> Blockchain<S> {
         self.store.flush_durable();
     }
 
-    /// Switches the backend into pipelined-commit mode, if it has one
-    /// ([`BlockStore::enable_pipeline`]): append-path fsyncs move to a
-    /// background commit stage and [`Blockchain::durable_tip`] starts
-    /// lagging the tip until they complete.
-    pub fn enable_pipeline(&mut self) {
-        self.store.enable_pipeline();
-    }
-
     /// Number of shards the maintained index is partitioned into.
     pub fn shard_count(&self) -> usize {
         self.index.shard_count()

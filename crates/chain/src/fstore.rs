@@ -77,44 +77,13 @@
 //! * appends between those barriers are *not* fsynced — a crash may lose a
 //!   suffix of recent frames, which the node layer re-syncs from peers.
 //!
-//! # Deferred-durability commit stage (pipelined mode)
-//!
-//! [`FileStore::enable_pipelined_commits`] moves the fsyncs the append
-//! path owes (segment fills, [`FsyncPolicy`] group commits) off the
-//! caller's critical path: instead of stalling in `sync_all`, the push
-//! enqueues the fsync on a background **commit stage** (one worker thread
-//! blocked in I/O — an overlap win even on one core) and returns. The
-//! store then exposes a **durable watermark**:
-//!
-//! * [`FileStore::durable_up_to`] — the highest block number guaranteed
-//!   to survive a power cut. It advances when the commit stage completes
-//!   a deferred fsync, or synchronously at the barriers below.
-//! * [`FileStore::commit_durable`] — a foreground durability barrier: it
-//!   drains the commit queue **inline** (never waiting on the worker, so
-//!   a paused stage cannot deadlock it) and fsyncs the tail, after which
-//!   the watermark equals the tip.
-//!
-//! The §IV-C prune barrier is preserved: [`BlockStore::drain_front`]
-//! drains every deferred fsync inline before the manifest write, so the
-//! carried-forward Σ is durable — including fsyncs covering the segments
-//! about to be rewritten or unlinked — before the prune becomes
-//! irreversible. Deferred jobs hold duplicated file descriptors, so an
-//! fsync issued after a rename/unlink still reaches the right inode.
-//! Unrooted stores (and clones, which are unrooted by design) have
-//! nothing to fsync and never run a commit stage.
-//!
-//! In pipelined mode the prune's own *file ops* are deferred too: a
-//! partially retired front segment keeps its frame offsets in the
-//! original file coordinates and the rewrite runs on the commit stage as
-//! a **deferred compaction** (readers translate offsets through the
-//! stage's layout table until it lands; [`FileStore::commit_durable`]
-//! and a clean close force it). This is what makes sealing overlap the
-//! prune's multi-megabyte rewrites instead of just its fsyncs. The
-//! manifest still precedes the rewrite, so a crash that loses a queued
-//! compaction leaves exactly the state recovery step 3 below already
-//! heals. The tail segment is never compacted asynchronously (appends
-//! record offsets against the live file), so when the store holds a
-//! single segment the prune falls back to the synchronous rewrite.
+//! Every fsync happens inline on the caller's thread, and every tail
+//! fsync is booked: it bumps [`FileStore::tail_fsyncs`] and advances the
+//! **durable watermark** [`FileStore::durable_up_to`] — the highest block
+//! number guaranteed to survive a power cut. Under [`FsyncPolicy::OnFill`]
+//! the watermark lags the tip between segment fills;
+//! [`FileStore::commit_durable`] (alias [`FileStore::sync`]) is the
+//! barrier that brings it up to the tip.
 //!
 //! # Physical deletion (§IV-C)
 //!
@@ -148,11 +117,9 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::fs;
-use std::io::{BufReader, ErrorKind, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
+use std::sync::{Arc, Mutex};
 
 use seldel_codec::{Codec, Decoder, Encoder};
 use seldel_crypto::{Digest32, Sha256};
@@ -402,14 +369,6 @@ struct Segment {
     frames: Vec<Frame>,
     /// Sealed segments never take another append.
     sealed: bool,
-    /// Bytes of pruned front frames whose physical removal is deferred to
-    /// the commit stage (pipelined mode). While non-zero the frame
-    /// offsets above stay in the file's *original* coordinates; readers
-    /// translate through the stage's layout table, which records how much
-    /// of this cut a completed compaction has already removed. Zero on
-    /// the synchronous path, where prunes rewrite the file immediately
-    /// and shift the offsets in place.
-    cut: u64,
 }
 
 impl Segment {
@@ -555,251 +514,6 @@ impl HotCache {
     }
 }
 
-/// One queued unit of deferred storage work.
-#[derive(Debug)]
-enum CommitJob {
-    /// Fsync `file` so every frame appended to that segment before the
-    /// enqueue becomes durable through block `up_to`. The descriptor is a
-    /// duplicate of the append handle — fsync on a dup reaches the inode
-    /// even after the path is renamed or unlinked, so a prune racing the
-    /// worker cannot strand the job.
-    Fsync {
-        file: fs::File,
-        path: PathBuf,
-        up_to: u64,
-    },
-    /// Physically remove the first `cut` bytes (in the segment's original
-    /// byte coordinates) from the front segment at `path` — the prune's
-    /// deferred file rewrite. Runs after the manifest already recorded
-    /// the prune, so losing the job to a crash merely leaves garbage that
-    /// replay removes on the next open (the same state a crash between
-    /// manifest and rewrite always produced).
-    Compact {
-        path: PathBuf,
-        segment_id: u64,
-        cut: u64,
-    },
-}
-
-/// The mutex-guarded half of the commit stage.
-#[derive(Debug, Default)]
-struct CommitQueue {
-    jobs: VecDeque<CommitJob>,
-    /// Test/sim hook: a held worker completes no fsync, freezing the
-    /// watermark (foreground barriers drain the queue inline instead).
-    hold: bool,
-    shutdown: bool,
-    /// First deferred-fsync failure; surfaced at the next barrier or
-    /// enqueue. The worker stops consuming once set.
-    error: Option<StoreError>,
-}
-
-/// State shared between a pipelined store and its commit worker.
-#[derive(Debug)]
-struct CommitShared {
-    state: Mutex<CommitQueue>,
-    wake: Condvar,
-    /// Durable frontier advanced by the worker: highest durable block
-    /// number + 1 (0 = none yet).
-    frontier: AtomicU64,
-    /// Fsyncs the worker completed (folds into `tail_fsyncs()`).
-    fsyncs: AtomicU64,
-    /// Physical-layout table for deferred compaction: `segment id →
-    /// bytes already removed from the front of its file`. The lock is
-    /// held across a compaction's read → rewrite → rename, by readers
-    /// while translating a frame offset into the current physical layout
-    /// and opening the file, and by the prune while unlinking retired
-    /// segments — the three parties that must not interleave. A reader
-    /// only needs it until its descriptor is open: a later compaction
-    /// renames a fresh file into place and never mutates the open inode.
-    layout: Mutex<HashMap<u64, u64>>,
-}
-
-impl CommitShared {
-    fn lock(&self) -> std::sync::MutexGuard<'_, CommitQueue> {
-        // A poisoned queue mutex means a panic mid-bookkeeping; the jobs
-        // are only pending fsyncs, so keep draining them.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn layout_lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, u64>> {
-        // Same reasoning: the table only mirrors completed renames.
-        self.layout.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// The background half of pipelined mode: one worker thread that sits in
-/// `sync_all` so the append path does not have to.
-#[derive(Debug)]
-struct CommitStage {
-    shared: Arc<CommitShared>,
-    worker: Option<thread::JoinHandle<()>>,
-}
-
-impl CommitStage {
-    fn spawn() -> CommitStage {
-        let shared = Arc::new(CommitShared {
-            state: Mutex::new(CommitQueue::default()),
-            wake: Condvar::new(),
-            frontier: AtomicU64::new(0),
-            fsyncs: AtomicU64::new(0),
-            layout: Mutex::new(HashMap::new()),
-        });
-        let worker = thread::Builder::new()
-            .name("seldel-commit".into())
-            .spawn({
-                let shared = Arc::clone(&shared);
-                move || commit_worker(&shared)
-            })
-            .expect("spawn commit worker");
-        CommitStage {
-            shared,
-            worker: Some(worker),
-        }
-    }
-
-    fn enqueue(&self, job: CommitJob) {
-        {
-            let mut state = self.shared.lock();
-            state.jobs.push_back(job);
-            seldel_telemetry::count!("fstore.commit.enqueued");
-            seldel_telemetry::gauge_set!("fstore.commit.queue_depth", state.jobs.len() as u64);
-            seldel_telemetry::gauge_max!("fstore.commit.queue_peak", state.jobs.len() as u64);
-        }
-        self.shared.wake.notify_one();
-    }
-
-    /// Steals every queued job so the caller can run them inline — the
-    /// foreground half of a durability barrier. Never waits on the
-    /// worker, so a held stage cannot deadlock a barrier.
-    fn steal_jobs(&self) -> Result<Vec<CommitJob>, StoreError> {
-        let mut state = self.shared.lock();
-        if let Some(err) = state.error.take() {
-            return Err(err);
-        }
-        Ok(state.jobs.drain(..).collect())
-    }
-
-    fn take_error(&self) -> Option<StoreError> {
-        self.shared.lock().error.take()
-    }
-}
-
-impl Drop for CommitStage {
-    fn drop(&mut self) {
-        {
-            let mut state = self.shared.lock();
-            state.shutdown = true;
-            state.hold = false;
-        }
-        self.shared.wake.notify_all();
-        if let Some(worker) = self.worker.take() {
-            // The worker drains remaining jobs before exiting, so a clean
-            // close leaves everything it was handed durable.
-            let _ = worker.join();
-        }
-    }
-}
-
-fn commit_worker(shared: &CommitShared) {
-    loop {
-        let mut batch: Vec<CommitJob> = Vec::new();
-        {
-            let mut state = shared.lock();
-            loop {
-                if state.error.is_none() && !state.hold && !state.jobs.is_empty() {
-                    batch.extend(state.jobs.drain(..));
-                    break;
-                }
-                if state.shutdown {
-                    return;
-                }
-                state = shared.wake.wait(state).unwrap_or_else(|e| e.into_inner());
-            }
-        }
-        let mut i = 0;
-        while i < batch.len() {
-            let outcome = match &batch[i] {
-                CommitJob::Compact {
-                    path,
-                    segment_id,
-                    cut,
-                } => {
-                    i += 1;
-                    let _span = seldel_telemetry::span!("fstore.compact");
-                    perform_compact(shared, path, *segment_id, *cut)
-                }
-                CommitJob::Fsync { path: first, .. } => {
-                    // Group commit: a run of fsyncs against the same file
-                    // needs one fsync covering the run's last watermark.
-                    // Runs against different files stay ordered — the
-                    // frontier may only advance once every earlier frame
-                    // is durable.
-                    let mut last = i;
-                    while let Some(CommitJob::Fsync { path, .. }) = batch.get(last + 1) {
-                        if path != first {
-                            break;
-                        }
-                        last += 1;
-                    }
-                    seldel_telemetry::observe!("fstore.commit.batch", (last - i + 1) as u64);
-                    let CommitJob::Fsync { file, path, up_to } = &batch[last] else {
-                        unreachable!("run scan only extends over fsync jobs");
-                    };
-                    i = last + 1;
-                    let synced = {
-                        let _span = seldel_telemetry::span!("fstore.fsync");
-                        file.sync_all()
-                    };
-                    match synced {
-                        Ok(()) => {
-                            shared.fsyncs.fetch_add(1, Ordering::Relaxed);
-                            shared.frontier.fetch_max(up_to + 1, Ordering::Release);
-                            Ok(())
-                        }
-                        Err(e) => Err(StoreError::io("deferred fsync", path, &e)),
-                    }
-                }
-            };
-            if let Err(err) = outcome {
-                let mut state = shared.lock();
-                if state.error.is_none() {
-                    state.error = Some(err);
-                }
-                break;
-            }
-        }
-    }
-}
-
-/// Executes one deferred front-segment compaction: rewrites the file at
-/// `path` without its first `cut` bytes, where `cut` is measured in the
-/// segment's original byte coordinates and the layout table records how
-/// much earlier compactions already removed. Idempotent and monotone —
-/// replaying or re-stealing a job is harmless. A missing file means the
-/// segment fully retired (and was unlinked) after the job was queued:
-/// nothing left to compact.
-fn perform_compact(
-    shared: &CommitShared,
-    path: &Path,
-    segment_id: u64,
-    cut: u64,
-) -> Result<(), StoreError> {
-    let mut applied = shared.layout_lock();
-    let done = applied.get(&segment_id).copied().unwrap_or(0);
-    if cut <= done {
-        return Ok(());
-    }
-    let bytes = match fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(StoreError::io("read for compaction", path, &e)),
-    };
-    atomic_write(path, &bytes[(cut - done) as usize..])?;
-    applied.insert(segment_id, cut);
-    Ok(())
-}
-
 /// A durable, file-backed, paged segment store.
 ///
 /// See the [module docs](self) for the on-disk format, the offset table /
@@ -832,15 +546,11 @@ pub struct FileStore {
     /// Frames appended since the last tail fsync (drives `EveryN`).
     unsynced_appends: u32,
     /// Tail-segment fsyncs the store issued itself (fills, policy syncs,
-    /// prune barriers) — a diagnostics counter the group-commit tests read.
+    /// barriers) — a diagnostics counter the group-commit tests read.
     tail_fsyncs: u64,
-    /// Highest durable block number + 1, advanced by the *synchronous*
-    /// fsync paths (fills, policy syncs, barriers, replay). The commit
-    /// stage advances its own atomic frontier; [`FileStore::durable_up_to`]
-    /// reads the max of both.
+    /// Highest durable block number + 1, advanced by every booked tail
+    /// fsync and set by replay (0 = nothing durable yet).
     durable_frontier: u64,
-    /// The deferred-durability commit stage (pipelined mode only).
-    commit: Option<CommitStage>,
     /// Hot-block cache (rooted stores only; unrooted frames are resident).
     cache: HotCache,
 }
@@ -860,7 +570,6 @@ impl Default for FileStore {
             unsynced_appends: 0,
             tail_fsyncs: 0,
             durable_frontier: 0,
-            commit: None,
             cache: HotCache::new(DEFAULT_HOT_CACHE_BLOCKS),
         }
     }
@@ -1186,7 +895,6 @@ impl FileStore {
             unsynced_appends: 0,
             tail_fsyncs: 0,
             durable_frontier: 0,
-            commit: None,
             cache: HotCache::new(cache_capacity),
         };
         {
@@ -1326,12 +1034,7 @@ impl FileStore {
                     }
                 })
                 .collect();
-            self.segments.push_back(Segment {
-                id,
-                frames,
-                sealed,
-                cut: 0,
-            });
+            self.segments.push_back(Segment { id, frames, sealed });
         }
         self.next_segment_id = self
             .segments
@@ -1451,23 +1154,15 @@ impl FileStore {
         self
     }
 
-    /// Fsyncs the tail segment file, making every appended frame durable.
-    ///
-    /// Called internally before each prune's manifest update; exposed so
-    /// drivers can force a durability barrier (e.g. before a planned
-    /// shutdown).
+    /// Fsyncs the tail segment file, making every appended frame durable —
+    /// the same booked barrier as [`FileStore::commit_durable`], exposed
+    /// so drivers can force durability (e.g. before a planned shutdown).
     ///
     /// # Errors
     ///
     /// Propagates the fsync failure.
-    pub fn sync(&self) -> Result<(), StoreError> {
-        let Some(root) = &self.root else {
-            return Ok(());
-        };
-        if let Some(tail) = self.segments.back() {
-            fsync_file(&root.join(segment_file_name(tail.id)))?;
-        }
-        Ok(())
+    pub fn sync(&mut self) -> Result<(), StoreError> {
+        self.commit_durable()
     }
 
     /// Append-path fsync behaviour.
@@ -1489,51 +1184,10 @@ impl FileStore {
     }
 
     /// Segment fsyncs this store issued itself (segment fills,
-    /// policy-driven group commits, prune barriers, deferred commits).
-    /// Diagnostics only. In pipelined mode this folds in the fsyncs the
-    /// commit stage has *completed* — deferred-but-pending ones are not
-    /// counted yet.
+    /// policy-driven group commits, prune barriers, manual barriers).
+    /// Diagnostics only.
     pub fn tail_fsyncs(&self) -> u64 {
-        let deferred = self
-            .commit
-            .as_ref()
-            .map_or(0, |s| s.shared.fsyncs.load(Ordering::Relaxed));
-        self.tail_fsyncs + deferred
-    }
-
-    /// Whether the deferred-durability commit stage is running.
-    pub fn is_pipelined(&self) -> bool {
-        self.commit.is_some()
-    }
-
-    /// Switches a rooted store into **pipelined** mode: the fsyncs the
-    /// append path owes (segment fills, [`FsyncPolicy`] group commits)
-    /// are handed to a background commit stage instead of stalling the
-    /// caller, and [`FileStore::durable_up_to`] reports how far that
-    /// stage has actually gotten. Unrooted stores have nothing to fsync
-    /// and ignore the call. See the module docs' "Deferred-durability
-    /// commit stage" section.
-    pub fn enable_pipelined_commits(&mut self) {
-        if self.root.is_some() && self.commit.is_none() {
-            self.commit = Some(CommitStage::spawn());
-        }
-    }
-
-    /// Builder-style [`FileStore::enable_pipelined_commits`].
-    #[must_use]
-    pub fn with_pipelined_commits(mut self) -> FileStore {
-        self.enable_pipelined_commits();
-        self
-    }
-
-    /// Appends a block through the pipelined path: the write lands now,
-    /// any fsync it makes due is deferred to the commit stage, and the
-    /// caller keeps building the next block while the disk catches up.
-    /// Shorthand for [`FileStore::enable_pipelined_commits`] followed by
-    /// [`BlockStore::push`].
-    pub fn append_deferred(&mut self, block: SealedBlock) {
-        self.enable_pipelined_commits();
-        self.push(block);
+        self.tail_fsyncs
     }
 
     /// The highest block number guaranteed to survive a crash (power cut
@@ -1541,184 +1195,41 @@ impl FileStore {
     ///
     /// On an unrooted store every block is as safe as it gets (there is
     /// no disk to lag behind), so the watermark is simply the tip. On a
-    /// rooted store it advances at fsync points: segment fills, policy
-    /// syncs and barriers move it synchronously; in pipelined mode the
-    /// commit stage moves it as deferred fsyncs complete. After a prune
-    /// empties the store the number may exceed the tip — "everything
-    /// still stored is durable" stays true either way.
+    /// rooted store it advances at every tail fsync: segment fills,
+    /// policy syncs and barriers. After a prune empties the store the
+    /// number may exceed the tip — "everything still stored is durable"
+    /// stays true either way.
     pub fn durable_up_to(&self) -> Option<crate::types::BlockNumber> {
         if self.root.is_none() {
             let last = self.segments.back().and_then(|s| s.frames.last())?;
             return Some(crate::types::BlockNumber(last.meta.number));
         }
-        let mut frontier = self.durable_frontier;
-        if let Some(stage) = &self.commit {
-            frontier = frontier.max(stage.shared.frontier.load(Ordering::Acquire));
-        }
-        frontier.checked_sub(1).map(crate::types::BlockNumber)
+        self.durable_frontier
+            .checked_sub(1)
+            .map(crate::types::BlockNumber)
     }
 
-    /// Foreground durability barrier: returns only once every appended
-    /// block is durable, after which [`FileStore::durable_up_to`] equals
-    /// the tip. Drains the commit stage's queue **inline** — it never
-    /// waits on the background worker, so a paused stage cannot deadlock
-    /// it — then fsyncs the tail (covering appends no deferred job was
-    /// queued for, e.g. under [`FsyncPolicy::OnFill`]).
+    /// Durability barrier: fsyncs the tail and books it, after which
+    /// [`FileStore::durable_up_to`] equals the tip. Every tail fsync goes
+    /// through here so the counter, the `EveryN` window and the durable
+    /// frontier stay honest; every earlier segment was fsynced when it
+    /// filled.
     ///
     /// # Errors
     ///
-    /// Surfaces any deferred-fsync failure the worker recorded, or the
-    /// inline fsync failures themselves.
+    /// Propagates the fsync failure.
     pub fn commit_durable(&mut self) -> Result<(), StoreError> {
-        if self.root.is_none() {
+        let Some(root) = &self.root else {
             return Ok(());
-        }
-        if let Some(stage) = &self.commit {
-            for job in stage.steal_jobs()? {
-                match job {
-                    CommitJob::Fsync { file, path, up_to } => {
-                        {
-                            let _span = seldel_telemetry::span!("fstore.fsync");
-                            file.sync_all()
-                        }
-                        .map_err(|e| StoreError::io("commit fsync", &path, &e))?;
-                        self.tail_fsyncs += 1;
-                        self.durable_frontier = self.durable_frontier.max(up_to + 1);
-                    }
-                    CommitJob::Compact {
-                        path,
-                        segment_id,
-                        cut,
-                    } => perform_compact(&stage.shared, &path, segment_id, cut)?,
-                }
-            }
-        }
-        self.sync_tail_counted()
-    }
-
-    /// Tail-durability barrier for the §IV-C prune ordering: drains and
-    /// runs every deferred *fsync* inline, then fsyncs the tail, but
-    /// leaves deferred compactions queued. The prune needs the carried Σ
-    /// durable before its manifest update — not the physical rewrite of
-    /// *previously* pruned bytes, which may keep overlapping with sealing
-    /// ([`FileStore::commit_durable`] and a clean close still complete
-    /// it). Running those multi-megabyte rewrites here would put the file
-    /// ops of every prune right back on the seal path.
-    fn commit_appended(&mut self) -> Result<(), StoreError> {
-        if let Some(stage) = &self.commit {
-            let mut kept: Vec<CommitJob> = Vec::new();
-            for job in stage.steal_jobs()? {
-                match job {
-                    CommitJob::Fsync { file, path, up_to } => {
-                        {
-                            let _span = seldel_telemetry::span!("fstore.fsync");
-                            file.sync_all()
-                        }
-                        .map_err(|e| StoreError::io("commit fsync", &path, &e))?;
-                        self.tail_fsyncs += 1;
-                        self.durable_frontier = self.durable_frontier.max(up_to + 1);
-                    }
-                    compact => kept.push(compact),
-                }
-            }
-            if !kept.is_empty() {
-                // Only the foreground enqueues, so nothing slipped into
-                // the queue between the steal and this re-queue: pushing
-                // the survivors back to the front preserves order.
-                let mut state = stage.shared.lock();
-                for job in kept.into_iter().rev() {
-                    state.jobs.push_front(job);
-                }
-                drop(state);
-                stage.shared.wake.notify_one();
-            }
-        }
-        self.sync_tail_counted()
-    }
-
-    /// Test/sim hook: pauses (`true`) or resumes (`false`) the background
-    /// commit worker. While paused no deferred fsync completes, so the
-    /// durable watermark stays put — the deterministic way to observe the
-    /// watermark lag and to fabricate crash states behind it. Foreground
-    /// barriers ([`FileStore::commit_durable`], prunes) are unaffected:
-    /// they drain the queue inline. No-op unless pipelined.
-    pub fn pause_commits(&self, paused: bool) {
-        if let Some(stage) = &self.commit {
-            stage.shared.lock().hold = paused;
-            stage.shared.wake.notify_all();
-        }
-    }
-
-    /// Fsyncs the tail and books it: every internal tail fsync goes
-    /// through here so the counter, the `EveryN` window and the durable
-    /// frontier stay honest. Correct to call directly only when every
-    /// *earlier* segment is already durable (always true outside
-    /// pipelined mode; pipelined callers go through
-    /// [`FileStore::commit_durable`], which drains deferred jobs first).
-    fn sync_tail_counted(&mut self) -> Result<(), StoreError> {
-        self.sync()?;
-        if self.root.is_some() && !self.segments.is_empty() {
+        };
+        if let Some(tail) = self.segments.back() {
+            fsync_file(&root.join(segment_file_name(tail.id)))?;
             self.tail_fsyncs += 1;
-            if let Some(last) = self.segments.back().and_then(|s| s.frames.last()) {
+            if let Some(last) = tail.frames.last() {
                 self.durable_frontier = self.durable_frontier.max(last.meta.number + 1);
             }
         }
         self.unsynced_appends = 0;
-        Ok(())
-    }
-
-    /// The fsync a filled segment owes — inline, or deferred to the
-    /// commit stage in pipelined mode. Either way the cached append
-    /// handle is released: the next push starts a new file.
-    fn fill_barrier(&mut self, tail_id: u64, block_number: u64) -> Result<(), StoreError> {
-        if self.commit.is_some() {
-            self.defer_tail_fsync(tail_id, block_number)?;
-        } else {
-            let root = self.root.clone().expect("rooted");
-            fsync_file(&root.join(segment_file_name(tail_id)))?;
-            self.tail_fsyncs += 1;
-            self.durable_frontier = self.durable_frontier.max(block_number + 1);
-        }
-        self.unsynced_appends = 0;
-        self.tail_file = None;
-        Ok(())
-    }
-
-    /// The fsync an [`FsyncPolicy`] (`Always` / `EveryN`) makes due —
-    /// inline, or deferred to the commit stage in pipelined mode.
-    fn policy_sync(&mut self, tail_id: u64, block_number: u64) -> Result<(), StoreError> {
-        if self.commit.is_some() {
-            self.defer_tail_fsync(tail_id, block_number)?;
-            self.unsynced_appends = 0;
-            Ok(())
-        } else {
-            self.sync_tail_counted()
-        }
-    }
-
-    /// Enqueues a deferred fsync of segment `tail_id` covering every
-    /// block up to `block_number`, on a duplicated descriptor (a later
-    /// prune's rename/unlink cannot invalidate the job).
-    fn defer_tail_fsync(&mut self, tail_id: u64, block_number: u64) -> Result<(), StoreError> {
-        let root = self.root.clone().expect("rooted");
-        let path = root.join(segment_file_name(tail_id));
-        let file = match self.tail_file.as_ref() {
-            Some((id, file)) if *id == tail_id => file
-                .try_clone()
-                .map_err(|e| StoreError::io("dup for deferred fsync", &path, &e))?,
-            _ => fs::File::open(&path)
-                .map_err(|e| StoreError::io("open for deferred fsync", &path, &e))?,
-        };
-        let stage = self.commit.as_ref().expect("pipelined");
-        // Surface any failure the worker already hit before queueing more.
-        if let Some(err) = stage.take_error() {
-            return Err(err);
-        }
-        stage.enqueue(CommitJob::Fsync {
-            file,
-            path,
-            up_to: block_number,
-        });
         Ok(())
     }
 
@@ -1750,26 +1261,13 @@ impl FileStore {
             .map_err(|e| StoreError::io("append frame", &root.join(segment_file_name(id)), &e))
     }
 
-    /// Opens `segment`'s file positioned at `logical` — an offset in the
-    /// frame table's coordinates. With a compaction pending on the
-    /// segment the physical file may already have lost some front bytes;
-    /// the translation happens under the layout lock, and holds for the
-    /// returned descriptor's whole life even after the guard drops — a
-    /// later compaction renames a fresh file into place, never mutating
-    /// the inode this descriptor pins.
-    fn open_frames(&self, segment: &Segment, logical: u64) -> Result<fs::File, StoreError> {
+    /// Opens `segment`'s file positioned at byte `offset`.
+    fn open_frames(&self, segment: &Segment, offset: u64) -> Result<fs::File, StoreError> {
         let root = self.root.as_ref().expect("paged frames imply a root");
         let path = root.join(segment_file_name(segment.id));
-        let guard = match (&self.commit, segment.cut > 0) {
-            (Some(stage), true) => Some(stage.shared.layout_lock()),
-            _ => None,
-        };
-        let applied = guard
-            .as_ref()
-            .map_or(0, |table| table.get(&segment.id).copied().unwrap_or(0));
         let mut file =
             fs::File::open(&path).map_err(|e| StoreError::io("open for read", &path, &e))?;
-        file.seek(SeekFrom::Start(logical - applied))
+        file.seek(SeekFrom::Start(offset))
             .map_err(|e| StoreError::io("seek frame", &path, &e))?;
         Ok(file)
     }
@@ -1848,7 +1346,6 @@ impl BlockStore for FileStore {
                 id,
                 frames: Vec::with_capacity(self.segment_capacity),
                 sealed: false,
-                cut: 0,
             });
         }
         let tail_id = self.segments.back().expect("tail exists").id;
@@ -1896,35 +1393,28 @@ impl BlockStore for FileStore {
             // frame below the stale watermark as pruned and drop it.
             self.first_block_number = block_number;
             // Renumbering restarts the durable frontier: watermarks from
-            // the previous numbering no longer name these blocks. The old
-            // commit stage (whose atomic frontier cannot go backwards) is
-            // joined and replaced.
+            // the previous numbering no longer name these blocks.
             self.durable_frontier = 0;
-            if self.commit.take().is_some() {
-                self.commit = Some(CommitStage::spawn());
-            }
             if let Some(root) = self.root.clone() {
                 Self::persist(self.write_manifest(&root));
             }
         }
         if self.root.is_some() {
             self.unsynced_appends = self.unsynced_appends.saturating_add(1);
-        }
-        if filled {
-            if self.root.is_some() {
-                // A filled segment is the durability unit: fsync it — or,
-                // in pipelined mode, hand the fsync to the commit stage so
-                // sealing overlaps the disk wait.
-                Self::persist(self.fill_barrier(tail_id, block_number));
-            }
-        } else if self.root.is_some() {
-            let due = match self.fsync_policy {
-                FsyncPolicy::OnFill => false,
-                FsyncPolicy::Always => true,
-                FsyncPolicy::EveryN(n) => n > 0 && self.unsynced_appends >= n,
-            };
+            // A filled segment is the durability unit: fsync it. Between
+            // fills the policy decides.
+            let due = filled
+                || match self.fsync_policy {
+                    FsyncPolicy::OnFill => false,
+                    FsyncPolicy::Always => true,
+                    FsyncPolicy::EveryN(n) => n > 0 && self.unsynced_appends >= n,
+                };
             if due {
-                Self::persist(self.policy_sync(tail_id, block_number));
+                Self::persist(self.commit_durable());
+            }
+            if filled {
+                // The next push starts a new file.
+                self.tail_file = None;
             }
         }
     }
@@ -1965,7 +1455,6 @@ impl BlockStore for FileStore {
 
         let mut retired_ids: Vec<u64> = Vec::new();
         let mut rewrite_front: Option<(u64, u64)> = None;
-        let mut defer_compact: Option<(u64, u64)> = None;
         let mut drained_seqs: Vec<u64> = Vec::with_capacity(count);
         let mut remaining = count;
         while remaining > 0 {
@@ -1976,28 +1465,13 @@ impl BlockStore for FileStore {
                 drained_seqs.extend(segment.frames.iter().map(|f| f.meta.seq));
                 remaining -= front_live;
             } else {
-                // Deferring the front rewrite to the commit stage only
-                // works off the tail: appends record offsets against the
-                // current file, so a pending rename under the append
-                // handle would corrupt the log. A front segment with a
-                // deferred cut retires (and is unlinked) before any later
-                // segment can become the front, so the tail can never
-                // carry one.
-                let defer = self.commit.is_some() && self.segments.len() > 1;
                 let front = self.segments.front_mut().expect("non-empty");
                 let cut = front.frames[remaining].meta.offset;
                 drained_seqs.extend(front.frames.drain(..remaining).map(|f| f.meta.seq));
-                if defer {
-                    // Offsets stay in the file's original coordinates;
-                    // readers translate through the layout table.
-                    front.cut = cut;
-                    defer_compact = Some((front.id, cut));
-                } else {
-                    for frame in &mut front.frames {
-                        frame.meta.offset -= cut;
-                    }
-                    rewrite_front = Some((front.id, cut));
+                for frame in &mut front.frames {
+                    frame.meta.offset -= cut;
                 }
+                rewrite_front = Some((front.id, cut));
                 remaining = 0;
             }
         }
@@ -2022,12 +1496,8 @@ impl BlockStore for FileStore {
             // §IV-C ordering: the tail (holding the carried-forward Σ) must
             // be durable before the manifest makes the prune irreversible.
             // This barrier holds under every FsyncPolicy — group commit
-            // may defer append fsyncs, never this one — and in pipelined
-            // mode it also drains every deferred fsync the commit stage
-            // still owes (some may cover the very segments about to be
-            // rewritten or unlinked). Deferred *compactions* stay queued:
-            // they only remove bytes the manifest already disowned.
-            Self::persist(self.commit_appended());
+            // may defer append fsyncs, never this one.
+            Self::persist(self.commit_durable());
             Self::persist(self.write_manifest(&root));
             if let Some((id, cut)) = rewrite_front {
                 // Raw byte-range rewrite through the offset table: the
@@ -2038,38 +1508,11 @@ impl BlockStore for FileStore {
                     .and_then(|bytes| atomic_write(&path, &bytes[cut as usize..]));
                 Self::persist(result);
             }
-            if let Some((id, cut)) = defer_compact {
-                let stage = self
-                    .commit
-                    .as_ref()
-                    .expect("deferred cut implies pipelined");
-                if let Some(err) = stage.take_error() {
-                    Self::persist(Err(err));
-                }
-                stage.enqueue(CommitJob::Compact {
-                    path: root.join(segment_file_name(id)),
-                    segment_id: id,
-                    cut,
-                });
-            }
-            {
-                // The layout lock excludes a compaction mid-rename: without
-                // it the worker could re-create a just-unlinked file by
-                // renaming its rewrite into place. Holding it, the worker
-                // either finished (the unlink removes the compacted file)
-                // or has not started (its read finds nothing and skips).
-                let guard = self.commit.as_ref().map(|stage| Arc::clone(&stage.shared));
-                let mut layout = guard.as_ref().map(|shared| shared.layout_lock());
-                for id in retired_ids {
-                    if let Some(layout) = layout.as_mut() {
-                        layout.remove(&id);
-                    }
-                    let path = root.join(segment_file_name(id));
-                    Self::persist(
-                        fs::remove_file(&path)
-                            .map_err(|e| StoreError::io("unlink retired", &path, &e)),
-                    );
-                }
+            for id in retired_ids {
+                let path = root.join(segment_file_name(id));
+                Self::persist(
+                    fs::remove_file(&path).map_err(|e| StoreError::io("unlink retired", &path, &e)),
+                );
             }
             Self::persist(fsync_dir(&root));
         }
@@ -2090,12 +1533,8 @@ impl BlockStore for FileStore {
         self.first_block_number = 0;
         self.tail_file = None;
         self.unsynced_appends = 0;
-        // A wiped store has nothing durable; the old commit stage (whose
-        // atomic frontier cannot go backwards) is joined and replaced.
+        // A wiped store has nothing durable.
         self.durable_frontier = 0;
-        if self.commit.take().is_some() {
-            self.commit = Some(CommitStage::spawn());
-        }
         self.cache.clear();
         if let Some(root) = self.root.clone() {
             let result = (|| -> Result<(), StoreError> {
@@ -2157,10 +1596,6 @@ impl BlockStore for FileStore {
     fn flush_durable(&mut self) {
         Self::persist(self.commit_durable());
     }
-
-    fn enable_pipeline(&mut self) {
-        self.enable_pipelined_commits();
-    }
 }
 
 /// Oldest-first iterator over a [`FileStore`].
@@ -2194,9 +1629,6 @@ impl<'a> Iterator for FileIter<'a> {
             Some((id, pos, _)) if *id == segment.id && *pos == frame.meta.offset
         );
         if needs_open {
-            // `pos` stays in frame-table coordinates; only the physical
-            // seek inside `open_frames` translates through any pending
-            // compaction (the descriptor pins that layout thereafter).
             let file = match self.store.open_frames(segment, frame.meta.offset) {
                 Ok(file) => file,
                 Err(err) => panic!("file store page-in failed: {err}"),
@@ -2626,8 +2058,8 @@ mod tests {
     #[test]
     fn fsync_policies_drive_the_tail_fsync_cadence() {
         // OnFill: no tail fsync until a segment fills. Set explicitly —
-        // the process default is OnFill, but SELDEL_FSYNC_POLICY (the CI
-        // pipeline-smoke job sets `always`) can move it at open time.
+        // the process default is OnFill, but SELDEL_FSYNC_POLICY can move
+        // it at open time.
         let scratch = Scratch::new("policy-default");
         let mut store = FileStore::open_with_capacity(scratch.path(), 8)
             .unwrap()
@@ -2683,6 +2115,11 @@ mod tests {
             1,
             "prune barrier must fsync the tail regardless of the policy"
         );
+        assert_eq!(
+            store.durable_up_to(),
+            Some(BlockNumber(5)),
+            "the prune barrier is a full durability barrier"
+        );
         // The surviving frames were durable before the manifest moved:
         // a reopen sees exactly blocks 2..6.
         drop(store);
@@ -2704,7 +2141,7 @@ mod tests {
     }
 
     #[test]
-    fn durable_watermark_tracks_fsync_points_without_pipelining() {
+    fn durable_watermark_tracks_fsync_points() {
         let scratch = Scratch::new("watermark-sync");
         let mut store = FileStore::open_with_capacity(scratch.path(), 4)
             .unwrap()
@@ -2746,126 +2183,34 @@ mod tests {
     }
 
     #[test]
-    fn paused_pipeline_freezes_the_watermark_until_a_barrier() {
-        let scratch = Scratch::new("pipeline-pause");
-        let mut store = FileStore::open_with_capacity(scratch.path(), 4)
+    fn manual_sync_advances_the_durable_watermark() {
+        // `sync()` is the public barrier: it must book its fsync like every
+        // other one, or the anchor's announce gate keeps treating blocks it
+        // made durable as at risk.
+        let scratch = Scratch::new("manual-sync");
+        let mut store = FileStore::open_with_capacity(scratch.path(), 8)
             .unwrap()
-            .with_fsync_policy(FsyncPolicy::Always)
-            .with_pipelined_commits();
-        assert!(store.is_pipelined());
-        store.pause_commits(true);
-        for n in 0..6 {
-            store.append_deferred(sealed(n));
-        }
-        // Every push owed an fsync (Always), all deferred, none completed:
-        // the watermark has not moved and neither has the fsync counter.
-        assert_eq!(store.durable_up_to(), None, "held worker completes none");
-        assert_eq!(store.tail_fsyncs(), 0);
-        // The foreground barrier drains the queue inline — a paused stage
-        // must not deadlock it.
-        store.commit_durable().unwrap();
-        assert_eq!(store.durable_up_to(), Some(BlockNumber(5)));
-        store.pause_commits(false);
-    }
-
-    #[test]
-    fn resumed_pipeline_advances_the_watermark_in_the_background() {
-        let scratch = Scratch::new("pipeline-resume");
-        let mut store = FileStore::open_with_capacity(scratch.path(), 4)
-            .unwrap()
-            .with_fsync_policy(FsyncPolicy::Always)
-            .with_pipelined_commits();
-        for n in 0..6 {
-            store.append_deferred(sealed(n));
-        }
-        // The worker owns the fsyncs now; it reaches the tip without any
-        // foreground barrier. Bounded wait, generous for slow CI disks.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while store.durable_up_to() != Some(BlockNumber(5)) {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "commit stage never reached the tip: {:?}",
-                store.durable_up_to()
-            );
-            thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert!(store.tail_fsyncs() >= 1, "worker fsyncs are counted");
-    }
-
-    #[test]
-    fn prune_barrier_drains_a_paused_pipeline_first() {
-        // §IV-C under pipelining: deferred fill fsyncs may cover the very
-        // segments a prune rewrites/unlinks — drain_front must land them
-        // before the manifest write, even with the worker held.
-        let scratch = Scratch::new("pipeline-prune");
-        let mut store = FileStore::open_with_capacity(scratch.path(), 2)
-            .unwrap()
-            .with_pipelined_commits();
-        store.pause_commits(true);
-        for n in 0..6 {
-            store.append_deferred(sealed(n));
-        }
-        let removed = store.drain_front(3);
-        assert_eq!(removed.len(), 3);
-        assert_eq!(
-            store.durable_up_to(),
-            Some(BlockNumber(5)),
-            "the prune barrier is a full durability barrier"
-        );
-        drop(store);
-        let reopened = FileStore::open(scratch.path()).unwrap();
-        assert_eq!(reopened.len(), 3);
-        assert_eq!(reopened.first().unwrap().block().number(), BlockNumber(3));
-        assert_eq!(reopened.last().unwrap().block().number(), BlockNumber(5));
-    }
-
-    #[test]
-    fn dropping_a_pipelined_store_lands_every_deferred_fsync() {
-        let scratch = Scratch::new("pipeline-drop");
-        let mut store = FileStore::open_with_capacity(scratch.path(), 2)
-            .unwrap()
-            .with_fsync_policy(FsyncPolicy::Always)
-            .with_pipelined_commits();
-        store.pause_commits(true);
-        for n in 0..5 {
-            store.append_deferred(sealed(n));
-        }
-        // Drop joins the worker, which drains the queue on shutdown even
-        // though it was held — a clean close loses nothing.
-        drop(store);
-        let reopened = FileStore::open(scratch.path()).unwrap();
-        assert_eq!(reopened.len(), 5);
-        assert_eq!(reopened.durable_up_to(), Some(BlockNumber(4)));
-    }
-
-    #[test]
-    fn pipelined_clone_is_detached_and_unpipelined() {
-        let scratch = Scratch::new("pipeline-clone");
-        let mut store = FileStore::open_with_capacity(scratch.path(), 4)
-            .unwrap()
-            .with_pipelined_commits();
+            .with_fsync_policy(FsyncPolicy::OnFill);
         for n in 0..3 {
-            store.append_deferred(sealed(n));
+            store.push(sealed(n));
         }
-        let clone = store.clone();
-        assert!(!clone.is_pipelined(), "clones are unrooted: no stage");
-        assert_eq!(clone.durable_up_to(), Some(BlockNumber(2)));
-        assert_eq!(clone, store);
+        assert_eq!(store.durable_up_to(), None);
+        store.sync().unwrap();
+        assert_eq!(store.durable_up_to(), Some(BlockNumber(2)));
+        assert_eq!(store.tail_fsyncs(), 1);
     }
 
     #[test]
     fn reset_restarts_the_durable_frontier() {
-        let scratch = Scratch::new("pipeline-reset");
+        let scratch = Scratch::new("watermark-reset");
         let mut store = FileStore::open_with_capacity(scratch.path(), 2)
             .unwrap()
-            .with_pipelined_commits();
+            .with_fsync_policy(FsyncPolicy::OnFill);
         for n in 0..4 {
-            store.append_deferred(sealed(n));
+            store.push(sealed(n));
         }
-        store.commit_durable().unwrap();
-        assert_eq!(store.durable_up_to(), Some(BlockNumber(3)));
+        assert_eq!(store.durable_up_to(), Some(BlockNumber(3)), "two fills");
         store.reset();
-        assert!(store.is_pipelined(), "reset keeps pipelined mode");
         assert_eq!(
             store.durable_up_to(),
             None,
@@ -2923,124 +2268,5 @@ mod tests {
             FileStore::open(scratch.path()),
             Err(StoreError::UnsupportedVersion { .. })
         ));
-    }
-
-    #[test]
-    fn deferred_compaction_translates_reads_and_lands_at_the_barrier() {
-        let scratch = Scratch::new("deferred-compaction");
-        let mut store = FileStore::open_with_capacity(scratch.path(), 4)
-            .unwrap()
-            .with_pipelined_commits();
-        for n in 0..12 {
-            store.push(sealed(n));
-        }
-        // Freeze the worker so the queued compaction provably stays
-        // pending until a foreground barrier runs it.
-        store.pause_commits(true);
-        let front = scratch.path().join(segment_file_name(0));
-        let full_len = fs::metadata(&front).unwrap().len();
-
-        store.drain_front(2);
-        assert_eq!(
-            fs::metadata(&front).unwrap().len(),
-            full_len,
-            "the front rewrite is deferred: the prune left the file bytes alone"
-        );
-        // The scan iterator reads from disk (bypassing the hot cache), so
-        // this pins the offset translation over the still-pending cut.
-        let nums: Vec<u64> = store.iter().map(|s| s.block().number().value()).collect();
-        assert_eq!(nums, (2..12).collect::<Vec<_>>());
-
-        // The barrier steals and executes the compaction inline even with
-        // the worker paused.
-        store.commit_durable().unwrap();
-        let compacted_len = fs::metadata(&front).unwrap().len();
-        assert!(
-            compacted_len < full_len,
-            "the barrier landed the physical rewrite"
-        );
-
-        // A second deferred cut on the same segment: the new absolute cut
-        // exceeds the applied one, so reads now translate through a
-        // partially-compacted file, and the follow-up compaction removes
-        // only the delta.
-        store.drain_front(1);
-        let nums: Vec<u64> = store.iter().map(|s| s.block().number().value()).collect();
-        assert_eq!(nums, (3..12).collect::<Vec<_>>());
-        store.commit_durable().unwrap();
-        assert!(fs::metadata(&front).unwrap().len() < compacted_len);
-        let nums: Vec<u64> = store.iter().map(|s| s.block().number().value()).collect();
-        assert_eq!(nums, (3..12).collect::<Vec<_>>());
-        store.pause_commits(false);
-    }
-
-    #[test]
-    fn clean_close_lands_pending_compactions() {
-        let scratch = Scratch::new("deferred-compaction-close");
-        let front = scratch.path().join(segment_file_name(0));
-        let full_len;
-        {
-            let mut store = FileStore::open_with_capacity(scratch.path(), 4)
-                .unwrap()
-                .with_pipelined_commits();
-            for n in 0..12 {
-                store.push(sealed(n));
-            }
-            full_len = fs::metadata(&front).unwrap().len();
-            store.drain_front(2);
-            // Close with the compaction possibly still queued: the worker
-            // drains before the store drops.
-        }
-        assert!(
-            fs::metadata(&front).unwrap().len() < full_len,
-            "a clean close completes the physical deletion"
-        );
-        let reopened = FileStore::open(scratch.path()).unwrap();
-        assert_eq!(reopened.len(), 10);
-        let nums: Vec<u64> = reopened
-            .iter()
-            .map(|s| s.block().number().value())
-            .collect();
-        assert_eq!(nums, (2..12).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn losing_a_queued_compaction_is_healed_on_reopen() {
-        let scratch = Scratch::new("deferred-compaction-crash");
-        let crashed = Scratch::new("deferred-compaction-crash-copy");
-        let uncompacted_len;
-        {
-            let mut store = FileStore::open_with_capacity(scratch.path(), 4)
-                .unwrap()
-                .with_pipelined_commits();
-            for n in 0..12 {
-                store.push(sealed(n));
-            }
-            store.pause_commits(true);
-            store.drain_front(2);
-            // Snapshot the directory while the compaction is still queued
-            // — exactly what a power cut after the manifest write but
-            // before the deferred rewrite leaves behind.
-            fs::create_dir_all(crashed.path()).unwrap();
-            for entry in fs::read_dir(scratch.path()).unwrap() {
-                let entry = entry.unwrap();
-                fs::copy(entry.path(), crashed.path().join(entry.file_name())).unwrap();
-            }
-            uncompacted_len = fs::metadata(crashed.path().join(segment_file_name(0)))
-                .unwrap()
-                .len();
-        }
-        let reopened = FileStore::open(crashed.path()).unwrap();
-        assert_eq!(reopened.len(), 10);
-        let nums: Vec<u64> = reopened
-            .iter()
-            .map(|s| s.block().number().value())
-            .collect();
-        assert_eq!(nums, (2..12).collect::<Vec<_>>());
-        // Recovery finished the prune physically, not just in memory.
-        let healed = fs::metadata(crashed.path().join(segment_file_name(0)))
-            .unwrap()
-            .len();
-        assert!(healed < uncompacted_len);
     }
 }

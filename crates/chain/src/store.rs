@@ -364,12 +364,6 @@ pub trait BlockStore:
     /// the tip. No-op for in-memory backends. Durable backends that
     /// cannot reach the disk panic, matching their `push` contract.
     fn flush_durable(&mut self) {}
-
-    /// Switches the store into pipelined-commit mode, if it has one:
-    /// append-path fsyncs move to a background commit stage and
-    /// [`BlockStore::durable_tip`] starts lagging until they complete.
-    /// No-op (the default) for backends with no deferred durability.
-    fn enable_pipeline(&mut self) {}
 }
 
 /// The default in-memory store: a `VecDeque` of sealed blocks.

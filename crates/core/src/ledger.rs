@@ -91,7 +91,6 @@ pub struct SelectiveLedgerBuilder<S: BlockStore = MemStore> {
     policies: Vec<Arc<dyn CohesionPolicy>>,
     genesis_time: Timestamp,
     shards: usize,
-    pipelined: bool,
     _store: PhantomData<S>,
 }
 
@@ -108,7 +107,6 @@ impl<S: BlockStore> SelectiveLedgerBuilder<S> {
             policies: self.policies,
             genesis_time: self.genesis_time,
             shards: self.shards,
-            pipelined: self.pipelined,
             _store: PhantomData,
         }
     }
@@ -127,16 +125,6 @@ impl<S: BlockStore> SelectiveLedgerBuilder<S> {
         // first use.
         let _ = seldel_chain::ShardMap::new(shards);
         self.shards = shards;
-        self
-    }
-    /// Enables the backend's **pipelined commit** mode, when it has one
-    /// ([`BlockStore::enable_pipeline`]): append-path fsyncs move off the
-    /// seal path to a background commit stage, and
-    /// [`SelectiveLedger::durable_tip`] starts lagging the tip until they
-    /// complete. No-op for in-memory backends. See the staged sealing
-    /// pipeline section in DESIGN.md.
-    pub fn pipelined_commits(mut self, on: bool) -> Self {
-        self.pipelined = on;
         self
     }
 
@@ -235,9 +223,6 @@ impl<S: BlockStore> SelectiveLedgerBuilder<S> {
     fn into_ledger(self, mut chain: Blockchain<S>) -> SelectiveLedger<S> {
         if chain.shard_count() != self.shards {
             chain.reshard(self.shards);
-        }
-        if self.pipelined {
-            chain.enable_pipeline();
         }
         let blocks_appended = chain.tip().number().value() + 1;
         let retired_blocks = chain.marker().value();
@@ -355,7 +340,6 @@ impl SelectiveLedger {
             policies: Vec::new(),
             genesis_time: Timestamp::ZERO,
             shards: DEFAULT_SHARD_COUNT,
-            pipelined: false,
             _store: PhantomData,
         }
     }
@@ -374,8 +358,9 @@ impl<S: BlockStore> SelectiveLedger<S> {
 
     /// The highest block number the storage backend guarantees to
     /// survive a crash ([`Blockchain::durable_tip`]). Equals the tip for
-    /// in-memory backends; lags it on a pipelined durable backend while
-    /// deferred fsyncs are pending. The anchor node holds `NewBlock`
+    /// in-memory backends; on a durable backend it lags the tip between
+    /// fsync points (under `FsyncPolicy::OnFill`, until the segment
+    /// fills or a barrier runs). The anchor node holds `NewBlock`
     /// broadcasts behind this watermark.
     pub fn durable_tip(&self) -> Option<BlockNumber> {
         self.chain.durable_tip()
@@ -517,15 +502,10 @@ impl<S: BlockStore> SelectiveLedger<S> {
     /// the overflow waits for the next block. Any due summary slot is
     /// filled automatically afterwards, which may merge and cut old
     /// sequences. Returns the number of the sealed (non-summary) block.
-    ///
-    /// **Pipeline-aware:** on a backend in pipelined-commit mode
-    /// ([`SelectiveLedgerBuilder::pipelined_commits`]) this returns as
-    /// soon as the block's bytes are written — any fsync the append made
-    /// due runs on the backend's commit stage while the caller builds
-    /// the next block. The sealed block is not crash-durable until
+    /// The sealed block is not crash-durable until
     /// [`SelectiveLedger::durable_tip`] reaches it (or
     /// [`SelectiveLedger::commit_durable`] is called); prune barriers
-    /// inside `maybe_summarize` still flush inline, preserving §IV-C.
+    /// inside `maybe_summarize` flush inline, preserving §IV-C.
     ///
     /// # Errors
     ///

@@ -47,12 +47,9 @@ pub struct AnchorStats {
     /// High-water mark of the announce queue.
     pub announce_queue_peak: u64,
     /// Synchronous durability barriers the leader was forced into
-    /// because the commit stage lagged past the announce bound
+    /// because the durable watermark lagged past the announce bound
     /// (backpressure stalls).
     pub fsync_stalls: u64,
-    /// Blocks sealed while at least one earlier block was still awaiting
-    /// durability — each one is a seal/fsync overlap the pipeline won.
-    pub sealed_while_commit_pending: u64,
 }
 
 /// The registry-backed counters behind [`AnchorStats`]: each anchor owns
@@ -76,7 +73,6 @@ struct AnchorMetrics {
     announce_queue_depth: Arc<Gauge>,
     announce_queue_peak: Arc<Gauge>,
     fsync_stalls: Arc<Counter>,
-    sealed_while_commit_pending: Arc<Counter>,
     /// Policy-engine counters live only in the private registry (visible
     /// via [`AnchorNode::telemetry`]): `AnchorStats` is a pinned shape.
     policy_plans_served: Arc<Counter>,
@@ -99,7 +95,6 @@ impl AnchorMetrics {
             announce_queue_depth: registry.gauge("anchor.announce_queue.depth"),
             announce_queue_peak: registry.gauge("anchor.announce_queue.peak"),
             fsync_stalls: registry.counter("anchor.fsync_stalls"),
-            sealed_while_commit_pending: registry.counter("anchor.sealed_while_commit_pending"),
             policy_plans_served: registry.counter("anchor.policy.plans_served"),
             policy_applies: registry.counter("anchor.policy.applies"),
             policy_requests_enqueued: registry.counter("anchor.policy.requests_enqueued"),
@@ -109,32 +104,29 @@ impl AnchorMetrics {
 }
 
 /// Default bound on the leader's sealed-but-unannounced queue. When more
-/// blocks than this await the durable watermark, the leader stops
-/// pipelining and runs a synchronous durability barrier (backpressure) —
-/// the commit stage may lag the sealer, but never unboundedly.
+/// blocks than this await the durable watermark, the leader runs a
+/// synchronous durability barrier (backpressure) — the watermark may lag
+/// the sealer, but never unboundedly.
 pub const DEFAULT_ANNOUNCE_BOUND: usize = 8;
 
 /// An anchor node wrapping a [`SelectiveLedger`], generic over the
 /// ledger's storage backend (replicas can run [`MemStore`] or the
 /// segmented store interchangeably — Σ hashes are backend-independent).
 ///
-/// # Staged sealing (durable watermark)
+/// # Durable watermark
 ///
-/// The leader's flow is staged: intake fills the sharded mempool, the
-/// seal stage drains it into blocks, and the *commit* stage — the
-/// storage backend's fsync machinery — runs behind a *durable
-/// watermark* ([`SelectiveLedger::durable_tip`]). A sealed block is
-/// queued, not broadcast: `NewBlock` / Σ `SyncCheck` messages go out
-/// only once the watermark reaches the block, so **replicas never see a
-/// block the leader could still lose in a crash**. On a pipelined
-/// durable backend
-/// ([`SelectiveLedgerBuilder::pipelined_commits`](seldel_core::SelectiveLedgerBuilder::pipelined_commits))
-/// the leader seals block N+1 while block N's fsync is in flight; when
-/// the announce queue outgrows its bound
-/// ([`DEFAULT_ANNOUNCE_BOUND`] / [`AnchorNode::with_announce_bound`])
-/// the leader stalls on a synchronous barrier instead — bounded queue,
-/// explicit backpressure. In-memory backends report no durability lag,
-/// so their broadcasts stay immediate.
+/// Intake fills the sharded mempool and the leader seals it into
+/// blocks, but a sealed block is queued, not broadcast: `NewBlock` / Σ
+/// `SyncCheck` messages go out only once the storage backend's *durable
+/// watermark* ([`SelectiveLedger::durable_tip`]) reaches the block, so
+/// **replicas never see a block the leader could still lose in a
+/// crash**. On a durable backend the watermark advances when a segment
+/// fills, at the §IV-C prune barrier, or at the backpressure stall: when
+/// the announce queue outgrows its bound ([`DEFAULT_ANNOUNCE_BOUND`] /
+/// [`AnchorNode::with_announce_bound`]) the leader stalls on one
+/// synchronous barrier — bounded queue, explicit backpressure.
+/// In-memory backends report no durability lag, so their broadcasts stay
+/// immediate.
 ///
 /// # Restart
 ///
@@ -185,8 +177,9 @@ impl<S: BlockStore> AnchorNode<S> {
     }
 
     /// Sets the announce-queue bound (see [`DEFAULT_ANNOUNCE_BOUND`]).
-    /// `0` disables pipelined announcing entirely: every seal runs a
-    /// synchronous durability barrier before broadcasting.
+    /// `0` disables deferred announcing entirely: every seal that leaves
+    /// a block behind the watermark runs a synchronous durability barrier
+    /// before broadcasting.
     #[must_use]
     pub fn with_announce_bound(mut self, bound: usize) -> AnchorNode<S> {
         self.announce_bound = bound;
@@ -198,9 +191,8 @@ impl<S: BlockStore> AnchorNode<S> {
         &self.ledger
     }
 
-    /// Distributed-behaviour counters, including the pipeline-health
-    /// gauges (announce-queue depth/peak, fsync stalls, seal/commit
-    /// overlaps).
+    /// Distributed-behaviour counters, including the durability gauges
+    /// (announce-queue depth/peak, fsync stalls).
     pub fn stats(&self) -> AnchorStats {
         AnchorStats {
             blocks_sealed: self.metrics.blocks_sealed.get(),
@@ -214,7 +206,6 @@ impl<S: BlockStore> AnchorNode<S> {
             announce_queue_depth: self.announce_queue.len() as u64,
             announce_queue_peak: self.metrics.announce_queue_peak.get(),
             fsync_stalls: self.metrics.fsync_stalls.get(),
-            sealed_while_commit_pending: self.metrics.sealed_while_commit_pending.get(),
         }
     }
 
@@ -240,21 +231,16 @@ impl<S: BlockStore> AnchorNode<S> {
         ctx.me() == self.leader
     }
 
-    /// The seal stage: drains the mempool into the next block, queues
-    /// every newly sealed block (Σ included) for announcement, and
-    /// releases whatever the durable watermark already covers. Sealing
-    /// does **not** wait for the block's fsync — on a pipelined backend
-    /// the commit stage catches up in the background — unless the
-    /// announce queue outgrows its bound, in which case the leader runs
-    /// a synchronous barrier (backpressure).
+    /// Drains the mempool into the next block, queues every newly sealed
+    /// block (Σ included) for announcement, and releases whatever the
+    /// durable watermark already covers. Sealing does **not** force the
+    /// block's fsync — the watermark advances when a segment fills or at
+    /// the §IV-C prune barrier — unless the announce queue outgrows its
+    /// bound, in which case the leader runs a synchronous barrier
+    /// (backpressure).
     fn leader_seal(&mut self, ctx: &mut Context<'_, NodeMessage>) {
         let now = seldel_chain::Timestamp(ctx.now());
         let tip_before = self.ledger.chain().tip().number();
-        if !self.announce_queue.is_empty() {
-            // An earlier block's fsync is still in flight: this seal
-            // overlaps it — the pipeline is doing its job.
-            self.metrics.sealed_while_commit_pending.incr();
-        }
         match self.ledger.seal_block(now) {
             Ok(_) => {
                 self.metrics.blocks_sealed.incr();
@@ -270,8 +256,8 @@ impl<S: BlockStore> AnchorNode<S> {
                 self.metrics.announce_queue_peak.raise(depth);
                 self.release_announcements(ctx);
                 if self.announce_queue.len() > self.announce_bound {
-                    // Backpressure: the commit stage lags too far behind
-                    // the sealer. Stall once on a synchronous durability
+                    // Backpressure: the watermark lags too far behind the
+                    // sealer. Stall once on a synchronous durability
                     // barrier, then everything queued is releasable.
                     self.metrics.fsync_stalls.incr();
                     self.ledger.commit_durable();
@@ -516,9 +502,6 @@ impl<S: BlockStore> SimNode<NodeMessage> for AnchorNode<S> {
     fn on_tick(&mut self, ctx: &mut Context<'_, NodeMessage>) {
         self.me = Some(ctx.me());
         if self.am_leader(ctx) {
-            // First release anything the background commit stage made
-            // durable since the last tick, then overlap the next seal
-            // with whatever fsync work is still in flight.
             self.release_announcements(ctx);
             self.leader_seal(ctx);
         }
@@ -1115,7 +1098,7 @@ mod tests {
         // every step, everything still queued must sit strictly above the
         // watermark — the "never announce a block the store could lose"
         // invariant. The policy is pinned explicitly: the premise breaks
-        // under a SELDEL_FSYNC_POLICY=always override (CI pipeline-smoke).
+        // under a SELDEL_FSYNC_POLICY=always override.
         use seldel_chain::testutil::ScratchDir;
         use seldel_chain::{FileStore, FsyncPolicy};
         let scratch = ScratchDir::new("anchor-watermark-gate");
@@ -1168,7 +1151,7 @@ mod tests {
         let stats = node.stats();
         assert!(
             saw_seal_ahead_of_durability,
-            "sealing never ran ahead of durability — the pipeline had no effect"
+            "sealing never ran ahead of durability — the gate was never exercised"
         );
         assert!(
             stats.fsync_stalls >= 1,
@@ -1189,142 +1172,5 @@ mod tests {
             .get(tip.number())
             .expect("leader pruned past replica tip");
         assert_eq!(tip.hash(), same.hash(), "replica diverged from the leader");
-    }
-
-    #[test]
-    fn paused_commit_stage_freezes_replicas_until_durability_resumes() {
-        // A *pipelined* durable leader with the real background commit
-        // worker: while the worker is paused the watermark freezes, the
-        // leader keeps sealing (overlap), and the replica must observe
-        // nothing new — no `NewBlock` travels past `durable_up_to`. Once
-        // the worker resumes, the backlog drains and the replica catches
-        // up. Wall-clock waits are deadline-bounded.
-        use seldel_chain::testutil::ScratchDir;
-        use seldel_chain::FileStore;
-        use std::time::{Duration, Instant};
-        let scratch = ScratchDir::new("anchor-paused-commit");
-        let leader = NodeId(0);
-
-        // No retirement cap: a prune would run the §IV-C durability
-        // barrier and (correctly) unfreeze the watermark mid-test.
-        let mut config = ChainConfig::paper_evaluation();
-        config.retention.max_live_blocks = None;
-
-        let mut net = SimNetwork::new(NetConfig::default());
-        let l = net.add_node(Box::new(
-            AnchorNode::new(
-                SelectiveLedger::builder(config.clone())
-                    .store_backend::<FileStore>()
-                    .pipelined_commits(true)
-                    .on_disk_with_capacity(scratch.path(), 4)
-                    .unwrap(),
-                leader,
-                100,
-            )
-            // A wide bound so the pause below never trips the synchronous
-            // backpressure barrier (which would advance the watermark).
-            .with_announce_bound(64),
-        ));
-        let r = net.add_node(Box::new(AnchorNode::new(
-            SelectiveLedger::new(config),
-            leader,
-            100,
-        )));
-        net.schedule_tick(l, 100);
-        net.schedule_tick(r, 100);
-
-        // Warm up: a few blocks flow end to end through the live worker.
-        let mut seq = 0u64;
-        for _ in 0..4 {
-            net.send_external(l, NodeMessage::Submit(entry(1, seq)));
-            net.run_until(net.now() + 100);
-            std::thread::sleep(Duration::from_millis(2));
-            seq += 1;
-        }
-
-        // Freeze the commit stage and keep sealing: the replica's view
-        // must not move while the watermark is frozen.
-        net.node_as::<AnchorNode<FileStore>>(l)
-            .unwrap()
-            .ledger()
-            .chain()
-            .store()
-            .pause_commits(true);
-        // Flush everything already durable (or in flight) before taking the
-        // frozen snapshot: two idle ticks release and deliver any block the
-        // watermark covered at pause time.
-        net.run_until(net.now() + 300);
-        let frozen_replica_tip = net
-            .node_as::<AnchorNode>(r)
-            .unwrap()
-            .ledger()
-            .chain()
-            .tip()
-            .number();
-        for _ in 0..5 {
-            net.send_external(l, NodeMessage::Submit(entry(1, seq)));
-            net.run_until(net.now() + 100);
-            seq += 1;
-        }
-        {
-            let node = net.node_as::<AnchorNode<FileStore>>(l).unwrap();
-            assert!(
-                node.stats().sealed_while_commit_pending >= 1,
-                "no seal overlapped a pending commit while the stage was paused"
-            );
-            assert_eq!(node.stats().fsync_stalls, 0, "pause tripped the barrier");
-            let replica_tip = net
-                .node_as::<AnchorNode>(r)
-                .unwrap()
-                .ledger()
-                .chain()
-                .tip()
-                .number();
-            assert_eq!(
-                replica_tip, frozen_replica_tip,
-                "a block crossed the frozen durable watermark"
-            );
-        }
-
-        // Resume: the worker drains the fsync backlog in the background and
-        // subsequent ticks release the queued announcements.
-        net.node_as::<AnchorNode<FileStore>>(l)
-            .unwrap()
-            .ledger()
-            .chain()
-            .store()
-            .pause_commits(false);
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            net.send_external(l, NodeMessage::Submit(entry(1, seq)));
-            net.run_until(net.now() + 100);
-            std::thread::sleep(Duration::from_millis(2));
-            seq += 1;
-            let replica_tip = net
-                .node_as::<AnchorNode>(r)
-                .unwrap()
-                .ledger()
-                .chain()
-                .tip()
-                .number();
-            if replica_tip > frozen_replica_tip {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "replica never caught up after the commit stage resumed"
-            );
-        }
-        net.run_until(net.now() + 500);
-        let node = net.node_as::<AnchorNode<FileStore>>(l).unwrap();
-        let replica = net.node_as::<AnchorNode>(r).unwrap();
-        let tip = replica.ledger().chain().tip();
-        let same = node
-            .ledger()
-            .chain()
-            .get(tip.number())
-            .expect("leader pruned past replica tip");
-        assert_eq!(tip.hash(), same.hash(), "replica diverged from the leader");
-        assert!(node.stats().announce_queue_peak >= 2);
     }
 }

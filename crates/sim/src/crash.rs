@@ -20,10 +20,10 @@
 //!   rewrite and the unlinks are lost: recovery must finish the prune
 //!   (delete stale segments, drop pruned frames) and come back
 //!   bit-identical to the oracle with **zero** lost blocks;
-//! * **deferred-commit** — the store runs in pipelined-commit mode with
-//!   the background fsync worker stalled, so blocks append while their
-//!   durability lags: the power cut keeps exactly the prefix the durable
-//!   watermark (`durable_up_to`) covered, and recovery must come back to
+//! * **past-watermark** — under `FsyncPolicy::OnFill` the appends between
+//!   segment fills are not fsynced, so the durable watermark
+//!   (`durable_up_to`) lags the tip: the power cut keeps exactly the
+//!   prefix the watermark covered, and recovery must come back to
 //!   **precisely** that watermark — the boundary the node layer gates its
 //!   `NewBlock` broadcasts on.
 //!
@@ -36,7 +36,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use seldel_chain::{
-    validate_store_incremental, BlockKind, BlockStore, Entry, FileStore, Timestamp,
+    validate_store_incremental, BlockKind, BlockStore, Entry, FileStore, FsyncPolicy, Timestamp,
 };
 use seldel_codec::DataRecord;
 use seldel_core::{ChainConfig, RetentionPolicy, RetireMode, SelectiveLedger};
@@ -50,10 +50,10 @@ pub enum CrashPoint {
     /// Crash inside the prune sequence, after the manifest became durable
     /// but before the front rewrite and the unlinks.
     MidPrune,
-    /// Crash while the pipelined commit stage still owes fsyncs: blocks
-    /// were appended past the durable watermark and every one of them is
-    /// lost; recovery lands exactly on `durable_up_to`.
-    DeferredCommit,
+    /// Crash while blocks sit past the durable watermark (appended since
+    /// the last fsync): every one of them is lost; recovery lands exactly
+    /// on `durable_up_to`.
+    PastWatermark,
     /// No damage at all — a clean close (the control run).
     CleanClose,
 }
@@ -63,7 +63,7 @@ impl std::fmt::Display for CrashPoint {
         f.write_str(match self {
             CrashPoint::MidPush => "mid-push",
             CrashPoint::MidPrune => "mid-prune",
-            CrashPoint::DeferredCommit => "deferred-commit",
+            CrashPoint::PastWatermark => "past-watermark",
             CrashPoint::CleanClose => "clean-close",
         })
     }
@@ -96,6 +96,11 @@ impl Default for CrashConfig {
         }
     }
 }
+
+/// Step budget for opening the past-watermark crash window. Running out
+/// means the watermark never lagged the tip — a broken premise, not a
+/// slow run.
+const PAST_WATERMARK_MAX_STEPS: u64 = 200;
 
 /// Outcome of one crash/restart run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,11 +225,11 @@ fn tear_tail_frame(dir: &Path) {
     file.set_len(len - 3).expect("truncate");
 }
 
-/// Fabricates the deferred-commit crash state: every frame **above** the
+/// Fabricates the past-watermark crash state: every frame **above** the
 /// captured durable watermark is discarded, newest segment first — the
-/// power cut lost exactly the writes whose fsyncs were still queued on
-/// the commit stage. Frames at or below the watermark were covered by a
-/// real fsync when the watermark advanced, so they survive byte-for-byte.
+/// power cut lost exactly the writes no fsync had covered yet. Frames at
+/// or below the watermark were covered by a real fsync when the
+/// watermark advanced, so they survive byte-for-byte.
 fn truncate_past_watermark(dir: &Path, watermark: u64) {
     let files = snapshot_segments(dir);
     for (path, bytes) in files.iter().rev() {
@@ -336,10 +341,15 @@ pub fn run_crash_restart(dir: &Path, cfg: &CrashConfig) -> CrashReport {
     let mut counter = 0u64;
 
     let mut oracle = SelectiveLedger::builder(crash_chain_config()).build();
+    // The policy is pinned: every crash state below is fabricated from the
+    // OnFill contract, and a SELDEL_FSYNC_POLICY override (e.g. `always`)
+    // would keep the watermark at the tip.
+    let store = FileStore::open_with_capacity(dir, cfg.segment_capacity)
+        .expect("fresh store opens")
+        .with_fsync_policy(FsyncPolicy::OnFill);
     let mut durable = SelectiveLedger::builder(crash_chain_config())
         .store_backend::<FileStore>()
-        .pipelined_commits(cfg.point == CrashPoint::DeferredCommit)
-        .on_disk_with_capacity(dir, cfg.segment_capacity)
+        .open_store(store)
         .expect("fresh store opens");
 
     // Phase 1: identical workload up to the crash window.
@@ -411,14 +421,12 @@ pub fn run_crash_restart(dir: &Path, cfg: &CrashConfig) -> CrashReport {
                 }
             }
         }
-        CrashPoint::DeferredCommit => {
-            // Stall the commit stage, then keep sealing: blocks append
-            // while their fill fsyncs wait in the queue, so the durable
-            // watermark W falls behind the tip. (A prune inside this loop
-            // runs the §IV-C barrier and snaps W back to the tip — the
-            // loop just continues until a gap of ≥ 2 blocks opens.)
-            durable.chain().store().pause_commits(true);
-            loop {
+        CrashPoint::PastWatermark => {
+            // Keep sealing until the durable watermark W trails the tip by
+            // ≥ 2 blocks. Under OnFill, W moves only at a segment fill or
+            // at a prune's §IV-C barrier (both snap it to the tip), so a
+            // gap opens within a segment's worth of steps.
+            for _ in 0..PAST_WATERMARK_MAX_STEPS {
                 block += 1;
                 step(
                     &mut oracle,
@@ -437,12 +445,17 @@ pub fn run_crash_restart(dir: &Path, cfg: &CrashConfig) -> CrashReport {
                     }
                 }
             }
-            // Dropping the ledger joins the worker, which flushes the
-            // queue — a clean close loses nothing. The fabrication then
-            // rolls the files back to the captured watermark: the state
+            let watermark = watermark.unwrap_or_else(|| {
+                panic!(
+                    "the durable watermark never trailed the tip by 2 blocks \
+                     in {PAST_WATERMARK_MAX_STEPS} steps"
+                )
+            });
+            // Dropping the ledger flushes nothing, but the frames past W
+            // still sit in the files; rolling them back leaves the state
             // an actual power cut at capture time was allowed to leave.
             drop(durable);
-            truncate_past_watermark(dir, watermark.expect("captured"));
+            truncate_past_watermark(dir, watermark);
         }
         CrashPoint::CleanClose => {
             drop(durable);
@@ -695,12 +708,12 @@ pub fn run_tamper_payload(dir: &Path, cfg: &CrashConfig, seed: u64) -> TamperRep
 }
 
 /// Runs every crash point in subdirectories of `base`, returning the
-/// reports in order (mid-push, mid-prune, deferred-commit, clean-close).
+/// reports in order (mid-push, mid-prune, past-watermark, clean-close).
 pub fn run_crash_matrix(base: &Path, cfg: &CrashConfig) -> Vec<CrashReport> {
     [
         CrashPoint::MidPush,
         CrashPoint::MidPrune,
-        CrashPoint::DeferredCommit,
+        CrashPoint::PastWatermark,
         CrashPoint::CleanClose,
     ]
     .into_iter()
@@ -753,15 +766,15 @@ mod tests {
 
     #[test]
     fn crash_with_deferred_commits_recovers_exactly_to_the_watermark() {
-        let dir = ScratchDir::new("deferred");
+        let dir = ScratchDir::new("past-watermark");
         let report = run_crash_restart(
             dir.path(),
             &CrashConfig {
-                point: CrashPoint::DeferredCommit,
+                point: CrashPoint::PastWatermark,
                 ..Default::default()
             },
         );
-        // The stalled commit stage owed ≥ 2 blocks at the cut, and the
+        // OnFill had deferred the fsync of ≥ 2 blocks at the cut, and the
         // in-driver assertion already pinned recovered_tip == watermark.
         assert!(report.lost_blocks >= 2, "{report:?}");
         assert!(report.reapplied_blocks >= 1);

@@ -56,7 +56,7 @@ proptest! {
     }
 }
 
-/// A deferred-commit crash recovery streams the surviving frames back at
+/// A past-watermark crash recovery streams the surviving frames back at
 /// reopen; the `fstore.replay.frames` counter makes that count visible to
 /// the harness even though no public API reports it.
 #[test]
@@ -65,11 +65,11 @@ fn deferred_commit_recovery_reports_replayed_frames() {
     seldel_telemetry::set_enabled(true);
     Registry::global().reset();
 
-    let dir = ScratchDir::new("telemetry-deferred");
+    let dir = ScratchDir::new("telemetry-past-watermark");
     let report = run_crash_restart(
         dir.path(),
         &CrashConfig {
-            point: CrashPoint::DeferredCommit,
+            point: CrashPoint::PastWatermark,
             ..Default::default()
         },
     );

@@ -43,7 +43,7 @@ impl TelemetrySnapshot {
     /// {
     ///   "telemetry_version": 1,
     ///   "counters": [{"name": "fstore.cache.hit", "value": 42}],
-    ///   "gauges": [{"name": "fstore.commit.queue_depth", "value": 3}],
+    ///   "gauges": [{"name": "anchor.announce_queue.depth", "value": 3}],
     ///   "histograms": [{"name": "fstore.fsync.ns", "count": 10,
     ///                   "sum": 12345, "max": 2048,
     ///                   "p50": 1023, "p95": 2047, "p99": 2048}]
@@ -262,7 +262,7 @@ mod tests {
         let reg = Registry::new();
         reg.counter("fstore.cache.hit").add(42);
         reg.counter("fstore.cache.miss").add(7);
-        reg.gauge("fstore.commit.queue_depth").set(3);
+        reg.gauge("anchor.announce_queue.depth").set(3);
         let h = reg.histogram("fstore.fsync.ns");
         for v in [800u64, 1000, 1500, 2000, 90_000] {
             h.record(v);
@@ -275,7 +275,7 @@ mod tests {
         let text = sample_snapshot().render_text();
         assert!(text.contains("counter   fstore.cache.hit"));
         assert!(text.contains("42"));
-        assert!(text.contains("gauge     fstore.commit.queue_depth"));
+        assert!(text.contains("gauge     anchor.announce_queue.depth"));
         assert!(text.contains("histogram fstore.fsync.ns"));
         assert!(text.contains("count=5"));
         assert!(text.contains("max=90000"));
