@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use seldel_crypto::{sha256, sha512, MerkleTree, SigningKey};
+use seldel_crypto::{sha256, sha512, MerkleTree, Signature, SigningKey, VerifyingKey};
 
 fn bench_sha256(c: &mut Criterion) {
     let mut group = c.benchmark_group("sha256");
@@ -39,6 +39,28 @@ fn bench_ed25519(c: &mut Criterion) {
     });
     c.bench_function("ed25519/keygen", |b| {
         b.iter(|| SigningKey::from_seed(black_box([9u8; 32])))
+    });
+    let encoded = verifying.to_bytes();
+    c.bench_function("ed25519/decompress", |b| {
+        b.iter(|| VerifyingKey::from_bytes(black_box(&encoded)))
+    });
+
+    // Round-robin over 64 authors, like the benchmark's tenants: consecutive
+    // verifies never repeat a key or signature, so only the shared
+    // base-point table stays warm between them.
+    let signed: Vec<(VerifyingKey, Signature)> = (0..64u8)
+        .map(|i| {
+            let key = SigningKey::from_seed([i; 32]);
+            (key.verifying_key(), key.sign(message))
+        })
+        .collect();
+    let mut next = 0;
+    c.bench_function("ed25519/verify_64_keys", |b| {
+        b.iter(|| {
+            let (key, signature) = &signed[next % signed.len()];
+            next += 1;
+            key.verify(black_box(message), black_box(signature))
+        })
     });
 }
 

@@ -4,22 +4,52 @@
 //! layout. Operations are variable-time (documented crate-wide); correctness
 //! is what matters for the selective-deletion prototype, and it is enforced
 //! by RFC 8032 vectors plus property tests.
+//!
+//! Every operation accepts *weakly reduced* limbs (each below 2^52) and
+//! returns weakly reduced limbs; only [`FieldElement::to_bytes`] reduces
+//! fully.
 
 use std::fmt;
 
 pub(crate) const MASK: u64 = (1u64 << 51) - 1;
 
 /// `p − 2` as little-endian bytes, the inversion exponent.
+#[cfg(test)]
 const P_MINUS_2: [u8; 32] = [
     0xeb, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
     0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f,
 ];
 
 /// `(p − 5) / 8` as little-endian bytes, the square-root exponent.
+#[cfg(test)]
 const P58: [u8; 32] = [
     0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
     0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f,
 ];
+
+#[cfg(test)]
+thread_local! {
+    /// Field multiplications and squarings performed on this thread.
+    static FIELD_OPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Runs `f` and returns its result with the number of field multiplications
+/// and squarings it performed on this thread.
+#[cfg(test)]
+pub(crate) fn count_field_ops<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = FIELD_OPS.with(|c| c.get());
+    let out = f();
+    (out, FIELD_OPS.with(|c| c.get()) - before)
+}
+
+#[cfg(test)]
+fn count_field_op() {
+    FIELD_OPS.with(|c| c.set(c.get() + 1));
+}
+
+#[cfg(not(test))]
+#[inline(always)]
+fn count_field_op() {}
 
 /// An element of GF(2^255 − 19).
 #[derive(Clone, Copy)]
@@ -46,18 +76,25 @@ impl FieldElement {
     /// Loads 32 little-endian bytes; bit 255 is ignored (values are taken
     /// modulo 2^255, not modulo p — callers needing canonicality must check
     /// separately via [`FieldElement::is_canonical_encoding`]).
-    pub(crate) fn from_bytes(bytes: &[u8; 32]) -> FieldElement {
-        let load8 = |b: &[u8]| -> u64 {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(b);
-            u64::from_le_bytes(word)
-        };
+    pub(crate) const fn from_bytes(bytes: &[u8; 32]) -> FieldElement {
+        const fn load8(b: &[u8; 32], i: usize) -> u64 {
+            u64::from_le_bytes([
+                b[i],
+                b[i + 1],
+                b[i + 2],
+                b[i + 3],
+                b[i + 4],
+                b[i + 5],
+                b[i + 6],
+                b[i + 7],
+            ])
+        }
         FieldElement([
-            load8(&bytes[0..8]) & MASK,
-            (load8(&bytes[6..14]) >> 3) & MASK,
-            (load8(&bytes[12..20]) >> 6) & MASK,
-            (load8(&bytes[19..27]) >> 1) & MASK,
-            (load8(&bytes[24..32]) >> 12) & MASK,
+            load8(bytes, 0) & MASK,
+            (load8(bytes, 6) >> 3) & MASK,
+            (load8(bytes, 12) >> 6) & MASK,
+            (load8(bytes, 19) >> 1) & MASK,
+            (load8(bytes, 24) >> 12) & MASK,
         ])
     }
 
@@ -126,7 +163,8 @@ impl FieldElement {
 
     pub(crate) fn sub(&self, rhs: &FieldElement) -> FieldElement {
         // Add 16p before subtracting so all limbs stay non-negative even for
-        // weakly-reduced inputs (limbs < 2^52 < 16 * 2^51 - small).
+        // weakly-reduced inputs (limbs < 2^52 < 16 * 2^51 - small). The sum
+        // stays below 2^56, so one carry pass brings it back below 2^52.
         const SIXTEEN_P: [u64; 5] = [
             36028797018963664, // 16 * (2^51 - 19)
             36028797018963952, // 16 * (2^51 - 1)
@@ -138,7 +176,7 @@ impl FieldElement {
         for (i, out) in l.iter_mut().enumerate() {
             *out = self.0[i] + SIXTEEN_P[i] - rhs.0[i];
         }
-        FieldElement(carry_once(carry_once(l)))
+        FieldElement(carry_once(l))
     }
 
     pub(crate) fn neg(&self) -> FieldElement {
@@ -146,27 +184,72 @@ impl FieldElement {
     }
 
     pub(crate) fn mul(&self, rhs: &FieldElement) -> FieldElement {
+        count_field_op();
         let a = &self.0;
         let b = &rhs.0;
-        let m = |x: u64, y: u64| (x as u128) * (y as u128);
+        // Limbs that wrap past 2^255 come back multiplied by 19; scaling
+        // them before the products keeps every product a single u64 × u64.
+        let b1_19 = 19 * b[1];
+        let b2_19 = 19 * b[2];
+        let b3_19 = 19 * b[3];
+        let b4_19 = 19 * b[4];
 
-        let r0 =
-            m(a[0], b[0]) + 19 * (m(a[1], b[4]) + m(a[2], b[3]) + m(a[3], b[2]) + m(a[4], b[1]));
-        let r1 =
-            m(a[0], b[1]) + m(a[1], b[0]) + 19 * (m(a[2], b[4]) + m(a[3], b[3]) + m(a[4], b[2]));
-        let r2 =
-            m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + 19 * (m(a[3], b[4]) + m(a[4], b[3]));
-        let r3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + 19 * m(a[4], b[4]);
+        let r0 = m(a[0], b[0]) + m(a[1], b4_19) + m(a[2], b3_19) + m(a[3], b2_19) + m(a[4], b1_19);
+        let r1 = m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4_19) + m(a[3], b3_19) + m(a[4], b2_19);
+        let r2 = m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4_19) + m(a[4], b3_19);
+        let r3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19);
         let r4 = m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]);
 
         reduce_wide([r0, r1, r2, r3, r4])
     }
 
+    /// `self²` with 15 limb products instead of `mul`'s 25: the symmetric
+    /// cross terms are computed once and doubled.
     pub(crate) fn square(&self) -> FieldElement {
-        self.mul(self)
+        count_field_op();
+        let a = &self.0;
+        let a3_19 = 19 * a[3];
+        let a4_19 = 19 * a[4];
+
+        let r0 = m(a[0], a[0]) + 2 * (m(a[1], a4_19) + m(a[2], a3_19));
+        let r1 = m(a[3], a3_19) + 2 * (m(a[0], a[1]) + m(a[2], a4_19));
+        let r2 = m(a[1], a[1]) + 2 * (m(a[0], a[2]) + m(a[4], a3_19));
+        let r3 = m(a[4], a4_19) + 2 * (m(a[0], a[3]) + m(a[1], a[2]));
+        let r4 = m(a[2], a[2]) + 2 * (m(a[0], a[4]) + m(a[1], a[3]));
+
+        reduce_wide([r0, r1, r2, r3, r4])
     }
 
-    /// `self^exp` where `exp` is a little-endian byte string.
+    /// `self^(2^k)`: `k` successive squarings.
+    pub(crate) fn pow2k(&self, k: u32) -> FieldElement {
+        let mut out = *self;
+        for _ in 0..k {
+            out = out.square();
+        }
+        out
+    }
+
+    /// `(self^(2^250 − 1), self^11)`, the shared prefix of the addition
+    /// chains for `p − 2` and `(p − 5)/8` (the ref10 chain: 249 squarings,
+    /// 10 multiplications).
+    fn pow22501(&self) -> (FieldElement, FieldElement) {
+        let x2 = self.square();
+        let x9 = self.mul(&x2.pow2k(2));
+        let x11 = x2.mul(&x9);
+        let e5 = x9.mul(&x11.square()); // 2^5 − 1
+        let e10 = e5.pow2k(5).mul(&e5); // 2^10 − 1
+        let e20 = e10.pow2k(10).mul(&e10); // 2^20 − 1
+        let e40 = e20.pow2k(20).mul(&e20); // 2^40 − 1
+        let e50 = e40.pow2k(10).mul(&e10); // 2^50 − 1
+        let e100 = e50.pow2k(50).mul(&e50); // 2^100 − 1
+        let e200 = e100.pow2k(100).mul(&e100); // 2^200 − 1
+        let e250 = e200.pow2k(50).mul(&e50); // 2^250 − 1
+        (e250, x11)
+    }
+
+    /// `self^exp` where `exp` is a little-endian byte string: the generic
+    /// square-and-multiply oracle for the addition chains.
+    #[cfg(test)]
     pub(crate) fn pow(&self, exp_le: &[u8]) -> FieldElement {
         let mut result = FieldElement::ONE;
         let mut started = false;
@@ -188,14 +271,18 @@ impl FieldElement {
         result
     }
 
-    /// Multiplicative inverse (`0` maps to `0`).
+    /// Multiplicative inverse `self^(p − 2)` (`0` maps to `0`): 254
+    /// squarings and 11 multiplications.
     pub(crate) fn invert(&self) -> FieldElement {
-        self.pow(&P_MINUS_2)
+        let (e250, x11) = self.pow22501();
+        e250.pow2k(5).mul(&x11) // 2^255 − 32 + 11 = p − 2
     }
 
-    /// `self^((p-5)/8)`, the core of the decompression square root.
+    /// `self^((p-5)/8)`, the core of the decompression square root: 251
+    /// squarings and 11 multiplications.
     pub(crate) fn pow_p58(&self) -> FieldElement {
-        self.pow(&P58)
+        let (e250, _) = self.pow22501();
+        e250.pow2k(2).mul(self) // 2^252 − 4 + 1 = (p − 5)/8
     }
 
     pub(crate) fn is_zero(&self) -> bool {
@@ -230,31 +317,35 @@ fn carry_once(mut l: [u64; 5]) -> [u64; 5] {
     l
 }
 
-/// Reduces the wide (u128) result of a multiplication.
+#[inline(always)]
+fn m(x: u64, y: u64) -> u128 {
+    (x as u128) * (y as u128)
+}
+
+/// Reduces the wide (u128) limbs of a product to weakly reduced limbs in
+/// one carry pass.
+///
+/// With input limbs below 2^52 every `r[i]` is below 2^112, so the carry
+/// out of `r[4]` is below 2^61 and `19 ×` it still fits a `u128` sum with
+/// limb 0; the final carry leaves limb 1 below 2^52.
 fn reduce_wide(mut r: [u128; 5]) -> FieldElement {
     const WIDE_MASK: u128 = MASK as u128;
-    for _ in 0..2 {
-        let mut c: u128 = 0;
-        for item in r.iter_mut() {
-            *item += c;
-            c = *item >> 51;
-            *item &= WIDE_MASK;
-        }
-        r[0] += c * 19;
+    let mut l = [0u64; 5];
+    for i in 0..4 {
+        r[i + 1] += r[i] >> 51;
+        l[i] = (r[i] & WIDE_MASK) as u64;
     }
-    let l = [
-        r[0] as u64,
-        r[1] as u64,
-        r[2] as u64,
-        r[3] as u64,
-        r[4] as u64,
-    ];
-    FieldElement(carry_once(l))
+    l[4] = (r[4] & WIDE_MASK) as u64;
+    let low = l[0] as u128 + 19 * (r[4] >> 51);
+    l[0] = (low & WIDE_MASK) as u64;
+    l[1] += (low >> 51) as u64;
+    FieldElement(l)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn fe(n: u64) -> FieldElement {
         FieldElement([n, 0, 0, 0, 0])
@@ -374,5 +465,82 @@ mod tests {
         assert_eq!(a.pow(&[2]), fe(9));
         assert_eq!(a.pow(&[5]), fe(243));
         assert_eq!(a.pow(&[16]), fe(43046721));
+    }
+
+    /// The largest limbs any operation may be handed: every limb at
+    /// 2^52 − 1.
+    const WEAK_MAX: FieldElement = FieldElement([(1 << 52) - 1; 5]);
+
+    #[test]
+    fn square_matches_mul_on_edge_limbs() {
+        let p_minus_1 = FieldElement::ZERO.sub(&FieldElement::ONE);
+        for x in [FieldElement::ZERO, FieldElement::ONE, p_minus_1, WEAK_MAX] {
+            assert_eq!(x.square(), x.mul(&x), "{x:?}");
+        }
+        assert_eq!(WEAK_MAX.pow2k(3), WEAK_MAX.mul(&WEAK_MAX).pow(&[4]));
+    }
+
+    #[test]
+    fn addition_chains_match_pow_on_edge_values() {
+        let p_minus_1 = FieldElement::ZERO.sub(&FieldElement::ONE);
+        for x in [
+            FieldElement::ZERO,
+            FieldElement::ONE,
+            fe(2),
+            p_minus_1,
+            WEAK_MAX,
+        ] {
+            assert_eq!(x.invert(), x.pow(&P_MINUS_2), "{x:?}");
+            assert_eq!(x.pow_p58(), x.pow(&P58), "{x:?}");
+        }
+    }
+
+    #[test]
+    fn addition_chain_op_counts() {
+        let x = FieldElement::from_bytes(&[0x5a; 32]);
+        assert_eq!(count_field_ops(|| x.invert()).1, 254 + 11);
+        assert_eq!(count_field_ops(|| x.pow_p58()).1, 251 + 11);
+    }
+
+    proptest! {
+        #[test]
+        fn square_matches_mul(bytes in any::<[u8; 32]>()) {
+            let x = FieldElement::from_bytes(&bytes);
+            prop_assert_eq!(x.square(), x.mul(&x));
+        }
+
+        #[test]
+        fn square_matches_mul_on_weak_limbs(bytes in any::<[u8; 40]>()) {
+            // Each limb in [2^51, 2^52): weakly reduced, just below the bound.
+            let x = FieldElement(std::array::from_fn(|i| {
+                let word = u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+                (word & MASK) | (1 << 51)
+            }));
+            prop_assert_eq!(x.square(), x.mul(&x));
+            prop_assert_eq!(x.mul(&WEAK_MAX), WEAK_MAX.mul(&x));
+            prop_assert_eq!(x.sub(&WEAK_MAX).add(&WEAK_MAX), x);
+            prop_assert_eq!(WEAK_MAX.sub(&x).add(&x), WEAK_MAX);
+        }
+
+        #[test]
+        fn pow2k_matches_repeated_square(bytes in any::<[u8; 32]>(), k in 0u32..12) {
+            let x = FieldElement::from_bytes(&bytes);
+            let mut expected = x;
+            for _ in 0..k {
+                expected = expected.mul(&expected);
+            }
+            prop_assert_eq!(x.pow2k(k), expected);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn addition_chains_match_pow(bytes in any::<[u8; 32]>()) {
+            let x = FieldElement::from_bytes(&bytes);
+            prop_assert_eq!(x.invert(), x.pow(&P_MINUS_2));
+            prop_assert_eq!(x.pow_p58(), x.pow(&P58));
+        }
     }
 }

@@ -6,7 +6,7 @@ use std::fmt;
 use crate::bigint::{add_512, ge_512, mod_512, mul_256, U256, U512};
 
 /// ℓ as little-endian bytes.
-#[allow(dead_code)] // referenced by the point-arithmetic test suite
+#[cfg(test)]
 pub(crate) const L_BYTES: [u8; 32] = [
     0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde, 0x14,
     0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10,
@@ -37,9 +37,6 @@ impl fmt::Debug for Scalar {
 }
 
 impl Scalar {
-    #[allow(dead_code)] // kept for API completeness; used in tests
-    pub(crate) const ZERO: Scalar = Scalar([0; 4]);
-
     /// Reduces a 64-byte little-endian integer modulo ℓ (used for the SHA-512
     /// outputs `r` and `k` in RFC 8032).
     pub(crate) fn from_bytes_wide(bytes: &[u8; 64]) -> Scalar {
@@ -97,7 +94,7 @@ impl Scalar {
         Scalar([reduced[0], reduced[1], reduced[2], reduced[3]])
     }
 
-    #[allow(dead_code)] // kept for API completeness; used in tests
+    #[cfg(test)]
     pub(crate) fn is_zero(&self) -> bool {
         self.0 == [0; 4]
     }

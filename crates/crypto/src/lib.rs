@@ -23,7 +23,10 @@
 //! The field, scalar and point arithmetic is written for clarity and
 //! determinism, not constant-time execution. This matches the research
 //! prototype character of the paper; do not use this crate to protect
-//! production secrets.
+//! production secrets. In particular, signing and key derivation multiply
+//! the base point through a precomputed table indexed by the digits of the
+//! secret nonce and the secret scalar, so which entries are read, and
+//! how many additions run, depend on secret data.
 //!
 //! # Example
 //!
