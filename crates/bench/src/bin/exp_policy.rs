@@ -267,7 +267,6 @@ fn main() {
 
     let ledger = SelectiveLedger::builder(tenant_chain_config(&cfg))
         .roles(RoleTable::new().with(admin_key().verifying_key(), Role::Admin))
-        .shards(cfg.shards)
         .build();
     let (base, report) = drive_multi_tenant(ledger, &cfg);
     println!(

@@ -14,8 +14,9 @@
 //! The JSON writer is hand-rolled: the workspace is dependency-free by
 //! design (no serde), and every report is a flat list of numbers. The
 //! [`render_json_report`] builder below is shared by every `BENCH_*.json`
-//! producer (`exp_growth` via [`to_json`], `exp_recovery`, `exp_shard`) so
-//! the documents stay uniform and the writer exists exactly once.
+//! producer (`exp_growth` via [`to_json`], `exp_paging`, `exp_policy`,
+//! `exp_recovery`) so the documents stay uniform and the writer exists
+//! exactly once.
 
 use std::fmt;
 use std::time::Instant;

@@ -11,15 +11,14 @@
 //!
 //! * a [`ShardedIndex`] (the [`EntryIndex`] partitioned by entry id; see
 //!   [`crate::shard`]) mapping every live data set to its holder block, so
-//!   [`Blockchain::locate`] is O(log n/shards) instead of a full summary
-//!   scan, batched [`Blockchain::locate_many`] queries are answered
-//!   shard-parallel, and recovery replays rebuild the shards concurrently;
+//!   [`Blockchain::locate`] is O(log n) instead of a full summary scan,
+//!   and reopening a store rebuilds it during the one linkage walk;
 //! * a cached digest per stored block ([`SealedBlock`]), computed once at
 //!   push, so linkage checks, validation, summary derivation and Σ-hash
 //!   sync checks never re-hash an immutable block.
 //!
 //! Both are derived state: rebuildable from the blocks, never hashed
-//! (invariant I2 is untouched by indexes and shard counts alike).
+//! (invariant I2 is untouched by indexes).
 
 use seldel_codec::{Codec, DataRecord};
 
@@ -27,15 +26,10 @@ use crate::block::{Block, BlockKind};
 use crate::entry::{Entry, EntryPayload};
 use crate::error::ChainError;
 use crate::index::{EntryIndex, Location};
-use crate::shard::{ShardMap, ShardedIndex, DEFAULT_SHARD_COUNT};
+use crate::shard::{ShardedIndex, DEFAULT_SHARD_COUNT};
 use crate::store::{BlockRef, BlockStore, MemStore, SealedBlock};
 use crate::summary::SummaryRecord;
 use crate::types::{BlockNumber, EntryId, EntryNumber};
-
-/// Batches smaller than this answer [`Blockchain::locate_many`] serially:
-/// per-lookup cost is well under a microsecond, so scoped-thread overhead
-/// only pays off for bulk audits.
-const LOCATE_MANY_PARALLEL_MIN_IDS: usize = 1024;
 
 /// The slot inside the holder block a located data set occupies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,11 +236,10 @@ impl<S: BlockStore> Blockchain<S> {
     /// recovery path for durable backends: a
     /// [`FileStore`](crate::fstore::FileStore) replays its segments on
     /// open, and this constructor turns the replayed blocks back into a
-    /// chain, re-checking linkage and rebuilding the entry index with the
-    /// default shard count (the sealed-hash cache was rebuilt by the store
-    /// itself). Linkage is inherently sequential (each block links to its
-    /// predecessor); the index rebuild replays into shards in parallel
-    /// ([`ShardedIndex::build_from_store`]).
+    /// chain, re-checking linkage and rebuilding the entry index (the
+    /// sealed-hash cache was rebuilt by the store itself). Both happen in
+    /// one streamed pass: each block is indexed as the linkage walk
+    /// reaches it, so no block is read twice.
     ///
     /// # Errors
     ///
@@ -254,21 +247,7 @@ impl<S: BlockStore> Blockchain<S> {
     /// linkage/consistency violation found (same rules as
     /// [`Blockchain::push`]).
     pub fn from_store(store: S) -> Result<Blockchain<S>, ChainError> {
-        Blockchain::from_store_with_shards(store, DEFAULT_SHARD_COUNT)
-    }
-
-    /// [`Blockchain::from_store`] with an explicit index shard count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Blockchain::from_store`].
-    pub fn from_store_with_shards(store: S, shards: usize) -> Result<Blockchain<S>, ChainError> {
-        let map = ShardMap::new(shards);
-        // When the parallel rebuild will not engage (short chain, one
-        // shard, one core), index inline during the linkage walk — one
-        // pass over the store, not two.
-        let parallel = ShardedIndex::parallel_build_applies(map, store.len());
-        let mut inline = ShardedIndex::with_map(map);
+        let mut index = ShardedIndex::new(DEFAULT_SHARD_COUNT);
         {
             // Guards, not store borrows: a paged backend materialises each
             // block as the iterator reaches it, and the previous guard
@@ -297,20 +276,13 @@ impl<S: BlockStore> Blockchain<S> {
                         });
                     }
                 }
-                if !parallel {
-                    inline.index_block(sealed.block());
-                }
+                index.index_block(sealed.block());
                 prev = Some(sealed);
             }
             if prev.is_none() {
                 return Err(ChainError::EmptyChain);
             }
         }
-        let index = if parallel {
-            ShardedIndex::build_from_store(map, &store)
-        } else {
-            inline
-        };
         Ok(Blockchain { store, index })
     }
 
@@ -336,9 +308,7 @@ impl<S: BlockStore> Blockchain<S> {
     /// block.
     pub fn replace_with<S2: BlockStore>(&mut self, source: &Blockchain<S2>) {
         self.store.reset();
-        // The local shard count is a node-local tuning choice; adoption
-        // keeps it rather than inheriting the peer's.
-        self.index = ShardedIndex::new(self.index.shard_count());
+        self.index = ShardedIndex::new(DEFAULT_SHARD_COUNT);
         for sealed in source.store.iter() {
             self.index.index_block(sealed.block());
             // Unwrapping the guard keeps the cached digest: no re-hash.
@@ -483,7 +453,7 @@ impl<S: BlockStore> Blockchain<S> {
     /// The maintained (sharded) entry index — derived state; see
     /// [`crate::shard`]. Compares equal to the monolithic
     /// [`EntryIndex`] oracle ([`Blockchain::rebuilt_index`]) whenever both
-    /// hold the same pairs, regardless of shard count.
+    /// hold the same pairs.
     pub fn entry_index(&self) -> &ShardedIndex {
         &self.index
     }
@@ -507,19 +477,6 @@ impl<S: BlockStore> Blockchain<S> {
     /// backends.
     pub fn flush_durable(&mut self) {
         self.store.flush_durable();
-    }
-
-    /// Number of shards the maintained index is partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.index.shard_count()
-    }
-
-    /// Repartitions the maintained index into `shards` shards, rebuilding
-    /// it from the store (in parallel for long chains). Purely local: the
-    /// index is derived state, so resharding can never affect hashes,
-    /// consensus or peers.
-    pub fn reshard(&mut self, shards: usize) {
-        self.index = ShardedIndex::build_from_store(ShardMap::new(shards), &self.store);
     }
 
     /// Rebuilds the monolithic entry index from a full block scan.
@@ -579,93 +536,15 @@ impl<S: BlockStore> Blockchain<S> {
     /// Batched [`Blockchain::locate`]: one answer per input id, in input
     /// order — the bulk deletion-audit / query-serving path.
     ///
-    /// Large batches are grouped by index shard and answered in parallel
-    /// with `std::thread::scope`, so each worker only walks its own
-    /// shard's `BTreeMap`; small batches (or a single shard) fall back to
-    /// a serial loop. Results are bit-identical to element-wise
-    /// [`Blockchain::locate`] either way (property-tested).
-    ///
     /// **Duplicate ids are answered element-wise**: every occurrence in
     /// the batch gets the same answer a lone query would, at its own
-    /// position, on the serial, bucketed and threaded paths alike (all
-    /// duplicates of an id land in the same shard bucket, each carrying
-    /// its own input position). Callers may therefore pass unsanitised id
-    /// lists — a compliance sweep repeating an id gets consistent rows,
-    /// never a hole.
+    /// position. Callers may therefore pass unsanitised id lists — a
+    /// compliance sweep repeating an id gets consistent rows, never a
+    /// hole.
     pub fn locate_many(&self, ids: &[EntryId]) -> Vec<Option<Located<'_>>> {
         let _span = seldel_telemetry::span!("chain.locate_many");
         seldel_telemetry::count!("chain.locate_many.ids", ids.len() as u64);
-        let shards = self.index.shard_count();
-        if shards == 1 || ids.len() < LOCATE_MANY_PARALLEL_MIN_IDS {
-            return ids.iter().map(|id| self.locate(*id)).collect();
-        }
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if workers <= 1 {
-            // No parallel hardware: still answer shard-grouped, so each
-            // shard's (much smaller) tree stays cache-hot while its
-            // probes run instead of interleaving over the whole key
-            // space — partitioning pays even single-threaded.
-            let mut out: Vec<Option<Located<'_>>> = vec![None; ids.len()];
-            for bucket in &self.shard_buckets(ids) {
-                for (pos, id) in bucket {
-                    out[*pos] = self.locate(*id);
-                }
-            }
-            return out;
-        }
-        self.locate_many_threaded(ids, shards.min(workers))
-    }
-
-    /// Groups `ids` (with their input positions) by index shard.
-    fn shard_buckets(&self, ids: &[EntryId]) -> Vec<Vec<(usize, EntryId)>> {
-        let map = self.index.map();
-        let mut buckets: Vec<Vec<(usize, EntryId)>> = vec![Vec::new(); self.index.shard_count()];
-        for (pos, id) in ids.iter().enumerate() {
-            buckets[map.shard_of_entry(*id)].push((pos, *id));
-        }
-        buckets
-    }
-
-    /// The threaded half of [`Blockchain::locate_many`]: `worker_count`
-    /// scoped threads, each owning every `worker_count`-th shard bucket —
-    /// a huge shard count never translates into a huge thread count.
-    /// Split out (and directly unit-tested) so single-core hosts, whose
-    /// `locate_many` never takes this path, still exercise it.
-    fn locate_many_threaded(
-        &self,
-        ids: &[EntryId],
-        worker_count: usize,
-    ) -> Vec<Option<Located<'_>>> {
-        let buckets = self.shard_buckets(ids);
-        let mut out: Vec<Option<Located<'_>>> = vec![None; ids.len()];
-        let answered: Vec<Vec<(usize, Option<Located<'_>>)>> = std::thread::scope(|scope| {
-            let buckets = &buckets;
-            let handles: Vec<_> = (0..worker_count)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut chunk = Vec::new();
-                        let mut b = w;
-                        while b < buckets.len() {
-                            for (pos, id) in &buckets[b] {
-                                chunk.push((*pos, self.locate(*id)));
-                            }
-                            b += worker_count;
-                        }
-                        chunk
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("lookup worker panicked"))
-                .collect()
-        });
-        for chunk in answered {
-            for (pos, located) in chunk {
-                out[pos] = located;
-            }
-        }
-        out
+        ids.iter().map(|id| self.locate(*id)).collect()
     }
 
     /// Reference implementation of [`Blockchain::locate`] by full scan.
@@ -820,6 +699,7 @@ impl<S: BlockStore> Blockchain<S> {
 mod tests {
     use super::*;
     use crate::block::{BlockBody, Seal};
+    use crate::fstore::FileStore;
     use crate::store::SegStore;
     use crate::types::Timestamp;
     use seldel_crypto::SigningKey;
@@ -832,8 +712,8 @@ mod tests {
         Entry::sign_data(&key(seed), DataRecord::new("login").with("user", user))
     }
 
-    fn chain_with_blocks_in<S: BlockStore>(n: u64) -> Blockchain<S> {
-        let mut chain = Blockchain::with_genesis(Block::genesis("test", Timestamp(0)));
+    /// Appends blocks 1..=n, two entries each, after the genesis block.
+    fn push_blocks<S: BlockStore>(chain: &mut Blockchain<S>, n: u64) {
         for i in 1..=n {
             let prev = chain.tip_hash();
             chain
@@ -848,6 +728,11 @@ mod tests {
                 ))
                 .unwrap();
         }
+    }
+
+    fn chain_with_blocks_in<S: BlockStore>(n: u64) -> Blockchain<S> {
+        let mut chain = Blockchain::with_genesis(Block::genesis("test", Timestamp(0)));
+        push_blocks(&mut chain, n);
         chain
     }
 
@@ -1072,43 +957,11 @@ mod tests {
     }
 
     #[test]
-    fn locate_many_threaded_matches_elementwise_locate() {
-        // The public locate_many only threads on multi-core hosts; drive
-        // the threaded path directly so it is exercised everywhere.
-        let mut chain = pruned_with_summary();
-        let prev = chain.tip_hash();
-        chain
-            .push(Block::new(
-                BlockNumber(4),
-                Timestamp(40),
-                prev,
-                BlockBody::Normal {
-                    entries: vec![entry("CHARLIE", 3)],
-                },
-                Seal::Deterministic,
-            ))
-            .unwrap();
-        let mut ids: Vec<EntryId> = chain.live_records().iter().map(|(id, _)| *id).collect();
-        ids.push(EntryId::new(BlockNumber(1), EntryNumber(1))); // pruned
-        ids.push(EntryId::new(BlockNumber(9), EntryNumber(0))); // ghost
-        for workers in [1usize, 2, 3, 8] {
-            let batch = chain.locate_many_threaded(&ids, workers);
-            for (id, got) in ids.iter().zip(&batch) {
-                assert_eq!(*got, chain.locate(*id), "id {id}, {workers} workers");
-            }
-        }
-        // And the public entry point agrees too (serial or threaded,
-        // whatever this host picks).
-        assert_eq!(chain.locate_many(&ids), chain.locate_many_threaded(&ids, 2));
-    }
-
-    #[test]
     fn locate_many_answers_duplicates_elementwise_on_every_path() {
         // The pinned contract: duplicate ids in one batch each get the
-        // answer a lone query would, at their own position — on the serial
-        // monolithic path, the sharded/bucketed path and the threaded path.
-        let mut chain = pruned_with_summary();
-        let base = [
+        // answer a lone query would, at their own position.
+        let chain = pruned_with_summary();
+        let ids = [
             EntryId::new(BlockNumber(2), EntryNumber(0)), // live in block
             EntryId::new(BlockNumber(1), EntryNumber(0)), // carried in Σ
             EntryId::new(BlockNumber(2), EntryNumber(0)), // dup of live
@@ -1117,28 +970,14 @@ mod tests {
             EntryId::new(BlockNumber(9), EntryNumber(0)), // ghost
             EntryId::new(BlockNumber(9), EntryNumber(0)), // dup of ghost
         ];
-        // Tile past the parallel threshold so the public entry point takes
-        // the threaded path on sharded multi-core hosts too.
-        let ids: Vec<EntryId> = base
-            .iter()
-            .cycle()
-            .take(LOCATE_MANY_PARALLEL_MIN_IDS + base.len())
-            .copied()
-            .collect();
-        for shards in [1usize, 8] {
-            chain.reshard(shards);
-            let batch = chain.locate_many(&ids);
-            assert_eq!(batch.len(), ids.len());
-            for (id, got) in ids.iter().zip(&batch) {
-                assert_eq!(*got, chain.locate(*id), "id {id}, {shards} shards");
-            }
-            // The threaded half directly, including the 1-worker bucketed
-            // grouping (all duplicates share a bucket, one slot each).
-            for workers in [1usize, 3] {
-                let threaded = chain.locate_many_threaded(&ids, workers);
-                assert_eq!(threaded, batch, "{shards} shards, {workers} workers");
-            }
+        let batch = chain.locate_many(&ids);
+        assert_eq!(batch.len(), ids.len());
+        for (id, got) in ids.iter().zip(&batch) {
+            assert_eq!(*got, chain.locate(*id), "id {id}");
         }
+        assert!(batch[0].is_some() && batch[0] == batch[2]);
+        assert!(batch[1].is_some() && batch[1] == batch[4]);
+        assert!(batch[3].is_none() && batch[5].is_none() && batch[6].is_none());
     }
 
     #[test]
@@ -1247,6 +1086,29 @@ mod tests {
         assert_eq!(rebuilt, chain);
         assert_eq!(rebuilt.entry_index(), &rebuilt.rebuilt_index());
         assert!(rebuilt.verify_cached_hashes());
+    }
+
+    #[test]
+    fn from_store_reopens_in_one_pass_without_touching_the_cache() {
+        let scratch = crate::testutil::ScratchDir::new("one-pass-reopen");
+        {
+            let store = FileStore::open_with_capacity(scratch.path(), 8)
+                .unwrap()
+                .with_hot_cache_capacity(16);
+            let mut chain = Blockchain::with_genesis_in(store, Block::genesis("t", Timestamp(0)));
+            push_blocks(&mut chain, 199);
+            assert_eq!(chain.len(), 200);
+        }
+        let store = FileStore::open(scratch.path())
+            .unwrap()
+            .with_hot_cache_capacity(16);
+        let chain = Blockchain::from_store(store).unwrap();
+        assert_eq!(chain.len(), 200);
+        // The linkage walk streams every frame once and indexes as it
+        // goes: no block is paged in through the cache a second time.
+        assert_eq!(chain.store().hot_cache_misses(), 0);
+        assert_eq!(chain.store().hot_cache_len(), 0);
+        assert_eq!(chain.entry_index(), &chain.rebuilt_index());
     }
 
     #[test]

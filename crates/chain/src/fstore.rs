@@ -114,12 +114,13 @@
 //!    reported as corruption;
 //! 5. the surviving frame metas are checked for contiguous block numbers.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::fs;
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use seldel_codec::{Codec, Decoder, Encoder};
 use seldel_crypto::{Digest32, Sha256};
@@ -389,7 +390,7 @@ struct CacheSlot {
 }
 
 /// The interior of the hot-block cache: `seq → slot` plus an LRU order
-/// (`stamp → seq`). Guarded by a mutex because [`BlockStore::get`] takes
+/// (`stamp → seq`). Behind a `RefCell` because [`BlockStore::get`] takes
 /// `&self` but a hit must bump recency and a miss must insert.
 #[derive(Debug, Default)]
 struct HotCacheInner {
@@ -401,30 +402,44 @@ struct HotCacheInner {
     misses: u64,
 }
 
+impl HotCacheInner {
+    /// Evicts least-recently-used slots until at most `capacity` remain.
+    fn evict_down_to(&mut self, capacity: usize) {
+        while self.slots.len() > capacity {
+            let (&oldest, &victim) = self.lru.iter().next().expect("lru tracks every slot");
+            self.lru.remove(&oldest);
+            let slot = self.slots.remove(&victim).expect("slot tracked in lru");
+            self.bytes -= slot.bytes;
+            seldel_telemetry::count!("fstore.cache.evict");
+        }
+    }
+}
+
 /// The hot-block LRU cache of a rooted store.
 #[derive(Debug)]
 struct HotCache {
-    inner: Mutex<HotCacheInner>,
+    inner: RefCell<HotCacheInner>,
     capacity: usize,
 }
 
 impl HotCache {
     fn new(capacity: usize) -> HotCache {
         HotCache {
-            inner: Mutex::new(HotCacheInner::default()),
+            inner: RefCell::default(),
             capacity,
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HotCacheInner> {
-        // A poisoned cache mutex means a panic mid-bookkeeping; the data
-        // is only derived state, so keep serving it.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    /// Changes the capacity in place, evicting the coldest slots down to
+    /// it. The hit/miss counters carry over.
+    fn set_capacity(&mut self, capacity: usize) {
+        self.capacity = capacity;
+        self.inner.get_mut().evict_down_to(capacity);
     }
 
     /// A hit bumps recency; a miss is counted.
     fn get(&self, seq: u64) -> Option<Arc<SealedBlock>> {
-        let mut inner = self.lock();
+        let mut inner = self.inner.borrow_mut();
         let stamp = inner.next_stamp;
         inner.next_stamp += 1;
         match inner.slots.get_mut(&seq) {
@@ -449,7 +464,11 @@ impl HotCache {
     /// A plain lookup: no recency bump, no hit/miss accounting (the drain
     /// path peeks so pruning does not distort the counters).
     fn peek(&self, seq: u64) -> Option<Arc<SealedBlock>> {
-        self.lock().slots.get(&seq).map(|s| Arc::clone(&s.block))
+        self.inner
+            .borrow()
+            .slots
+            .get(&seq)
+            .map(|s| Arc::clone(&s.block))
     }
 
     fn insert(&self, seq: u64, block: Arc<SealedBlock>) {
@@ -457,7 +476,7 @@ impl HotCache {
             return;
         }
         let bytes = block.byte_size() as u64;
-        let mut inner = self.lock();
+        let mut inner = self.inner.borrow_mut();
         let stamp = inner.next_stamp;
         inner.next_stamp += 1;
         if let Some(old) = inner.slots.insert(
@@ -473,17 +492,11 @@ impl HotCache {
         }
         inner.lru.insert(stamp, seq);
         inner.bytes += bytes;
-        while inner.slots.len() > self.capacity {
-            let (&oldest, &victim) = inner.lru.iter().next().expect("lru tracks every slot");
-            inner.lru.remove(&oldest);
-            let slot = inner.slots.remove(&victim).expect("slot tracked in lru");
-            inner.bytes -= slot.bytes;
-            seldel_telemetry::count!("fstore.cache.evict");
-        }
+        inner.evict_down_to(self.capacity);
     }
 
     fn remove(&self, seq: u64) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.borrow_mut();
         if let Some(slot) = inner.slots.remove(&seq) {
             inner.lru.remove(&slot.stamp);
             inner.bytes -= slot.bytes;
@@ -491,26 +504,26 @@ impl HotCache {
     }
 
     fn clear(&self) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.slots.clear();
         inner.lru.clear();
         inner.bytes = 0;
     }
 
     fn len(&self) -> usize {
-        self.lock().slots.len()
+        self.inner.borrow().slots.len()
     }
 
     fn bytes(&self) -> u64 {
-        self.lock().bytes
+        self.inner.borrow().bytes
     }
 
     fn hits(&self) -> u64 {
-        self.lock().hits
+        self.inner.borrow().hits
     }
 
     fn misses(&self) -> u64 {
-        self.lock().misses
+        self.inner.borrow().misses
     }
 }
 
@@ -1132,19 +1145,10 @@ impl FileStore {
     }
 
     /// Sets the hot-block cache capacity, evicting down if needed.
+    /// The hottest blocks survive the resize, and the hit/miss counters
+    /// keep counting since open.
     pub fn set_hot_cache_capacity(&mut self, blocks: usize) {
-        let old = std::mem::replace(&mut self.cache, HotCache::new(blocks));
-        if blocks > 0 {
-            // Keep the hottest survivors rather than dropping the working
-            // set on a resize.
-            let mut inner = old.lock();
-            let keep: Vec<u64> = inner.lru.values().rev().take(blocks).copied().collect();
-            for seq in keep.into_iter().rev() {
-                if let Some(slot) = inner.slots.remove(&seq) {
-                    self.cache.insert(seq, slot.block);
-                }
-            }
-        }
+        self.cache.set_capacity(blocks);
     }
 
     /// Builder-style [`FileStore::set_hot_cache_capacity`].
@@ -1806,6 +1810,24 @@ mod tests {
             assert_eq!(store.get(i).unwrap().number(), BlockNumber(i as u64));
         }
         assert_eq!(store.hot_cache_len(), 0);
+    }
+
+    #[test]
+    fn cache_resize_keeps_the_hit_and_miss_counters() {
+        let scratch = Scratch::new("cache-resize");
+        drop(store_with(scratch.path(), 4, 0..10));
+        let mut store = FileStore::open(scratch.path()).unwrap();
+        assert_eq!(store.get(3).unwrap().number(), BlockNumber(3)); // cold
+        assert_eq!(store.get(3).unwrap().number(), BlockNumber(3)); // warm
+        assert_eq!((store.hot_cache_misses(), store.hot_cache_hits()), (1, 1));
+        store.set_hot_cache_capacity(2);
+        assert_eq!(store.hot_cache_capacity(), 2);
+        assert_eq!(store.hot_cache_len(), 1, "the cached block survives");
+        assert_eq!(
+            (store.hot_cache_misses(), store.hot_cache_hits()),
+            (1, 1),
+            "counters count since open, across a resize"
+        );
     }
 
     #[test]

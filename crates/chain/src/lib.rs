@@ -15,9 +15,9 @@
 //! * [`index`] — the maintained `EntryId → Location` index backing O(log n)
 //!   lookups;
 //! * [`shard`] — the sharded query & intake subsystem: stable
-//!   [`ShardMap`] routing, the partitioned [`ShardedIndex`] (parallel
-//!   rebuild, shard-parallel batch lookups) and the author-sharded
-//!   [`ShardedMempool`] (per-shard dedup, fair round-robin drain);
+//!   [`ShardMap`] routing, the partitioned [`ShardedIndex`] and the
+//!   author-sharded [`ShardedMempool`] (per-shard dedup, fair round-robin
+//!   drain), all at the fixed [`DEFAULT_SHARD_COUNT`];
 //! * [`proof`] — O(log n) membership/absence proofs over the header
 //!   commitments, verifiable from a bare [`HeaderChain`];
 //! * [`validate`] — status-quo-anchored validation (§V-B3), full and

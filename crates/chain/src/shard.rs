@@ -3,34 +3,30 @@
 //!
 //! "Where does data set X live now" is the hot query of the whole system
 //! (§V: every validation, deletion and sync check resolves entries against
-//! the live chain). PR 2's maintained [`EntryIndex`] made that O(log n) —
-//! but as a single monolithic `BTreeMap` it is rebuilt serially on
-//! recovery and contended by every author. This module partitions it:
+//! the live chain). PR 2's maintained [`EntryIndex`] made that O(log n).
+//! This module partitions it and the leader's intake queue:
 //!
 //! * [`ShardMap`] — a stable key → shard-id mapping (power-of-two shard
 //!   count, FNV-1a over canonical bytes). **Stability rule:** the route is
 //!   a pure function of the key's canonical bytes and the shard count,
 //!   never of process state (no randomized hashers), so two nodes — or
-//!   one node across restarts — with the same shard count route every key
-//!   identically, and per-shard parallel rebuilds land each id in the
-//!   same shard a live chain maintains it in.
+//!   one node across restarts — route every key identically.
 //! * [`ShardedIndex`] — the [`EntryIndex`] partitioned by *entry id*
 //!   (the only key a lookup holds), behind the same
 //!   `get`/`contains`/`index_block`/`retire_before` API. The monolithic
 //!   [`EntryIndex`] stays as the oracle the property tests compare
-//!   against. [`ShardedIndex::build_from_store`] rebuilds all shards in
-//!   parallel with `std::thread::scope` — the recovery path for
-//!   `MemStore`/`SegStore`/`FileStore` replays.
+//!   against.
 //! * [`ShardedMempool`] — the leader's intake queue partitioned by
 //!   *author key*, with per-shard dedup (a byte-identical entry already
 //!   pending is refused) and a fair round-robin drain at seal time, so a
 //!   single hot author can no longer occupy every slot of a sealed block.
 //!
-//! Everything here is **derived state**: shards never enter a hash or a
-//! canonical encoding, so invariant I2 (bit-identical summary blocks
-//! across nodes) cannot see the shard count — the same separation that
-//! lets redactable-chain designs keep mutable bookkeeping outside
-//! consensus. Resharding is always safe and purely local.
+//! Chains and ledgers always use [`DEFAULT_SHARD_COUNT`]; the count is a
+//! constant, not a tuning knob. Everything here is **derived state**:
+//! shards never enter a hash or a canonical encoding, so invariant I2
+//! (bit-identical summary blocks across nodes) cannot see them — the same
+//! separation that lets redactable-chain designs keep mutable bookkeeping
+//! outside consensus.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -39,20 +35,13 @@ use seldel_crypto::{sha256, Digest32, VerifyingKey};
 use crate::block::Block;
 use crate::entry::Entry;
 use crate::index::{block_index_pairs, EntryIndex, Location};
-use crate::store::BlockStore;
 use crate::types::{BlockNumber, EntryId};
 
-/// Default shard count for chains and mempools that do not pick one.
+/// The shard count every chain index and ledger mempool uses.
 ///
-/// Small enough that tiny test chains pay no measurable routing overhead,
-/// large enough that multi-tenant lookups and recovery rebuilds
-/// parallelise on common hardware. Any power of two gives bit-identical
-/// query results (property-tested); only performance differs.
+/// Any power of two gives bit-identical query results (property-tested);
+/// only the capped mempool drain order depends on it.
 pub const DEFAULT_SHARD_COUNT: usize = 4;
-
-/// Rebuilds with fewer blocks than this stay serial: spawning scoped
-/// threads costs more than replaying a short chain.
-const PARALLEL_REBUILD_MIN_BLOCKS: usize = 64;
 
 /// 64-bit FNV-1a — tiny, dependency-free, and stable across platforms and
 /// process runs (unlike `std`'s randomized `DefaultHasher`).
@@ -148,30 +137,11 @@ impl Default for ShardedIndex {
 impl ShardedIndex {
     /// An empty index over `shards` shards (see [`ShardMap::new`]).
     pub fn new(shards: usize) -> ShardedIndex {
-        ShardedIndex::with_map(ShardMap::new(shards))
-    }
-
-    /// An empty index routed by an existing map.
-    pub fn with_map(map: ShardMap) -> ShardedIndex {
+        let map = ShardMap::new(shards);
         ShardedIndex {
             map,
             shards: vec![EntryIndex::new(); map.shards()],
         }
-    }
-
-    /// The routing map.
-    pub fn map(&self) -> ShardMap {
-        self.map
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Number of ids held by shard `shard` (diagnostics / balance tests).
-    pub fn shard_len(&self, shard: usize) -> usize {
-        self.shards[shard].len()
     }
 
     /// The location of `id`, if indexed.
@@ -221,125 +191,10 @@ impl ShardedIndex {
             shard.retire_before(marker);
         }
     }
-
-    /// Whether [`ShardedIndex::build_from_store`] would actually engage
-    /// its parallel path for `blocks` blocks — callers that already walk
-    /// the store serially (e.g. a linkage check) can index inline during
-    /// that walk when this is `false`, instead of paying a second pass.
-    pub fn parallel_build_applies(map: ShardMap, blocks: usize) -> bool {
-        map.shards() > 1
-            && blocks >= PARALLEL_REBUILD_MIN_BLOCKS
-            && std::thread::available_parallelism().map_or(1, |n| n.get()) > 1
-    }
-
-    /// Rebuilds the index from a store's blocks, replaying shards in
-    /// parallel — the recovery path.
-    ///
-    /// Two phases under `std::thread::scope`:
-    ///
-    /// 1. **Scatter**: workers over contiguous block ranges route every
-    ///    contributed `(id, location)` pair to its shard bucket,
-    ///    preserving block order within each range.
-    /// 2. **Build**: workers (bounded by cores, each owning every
-    ///    `workers`-th shard) insert their buckets in range order, so the
-    ///    newest-carrier-wins overwrite replays exactly as a serial pass
-    ///    would.
-    ///
-    /// The result is bit-identical to a serial replay regardless of thread
-    /// scheduling (merge order is fixed by the range order); short chains
-    /// and single-core hosts skip the threads entirely
-    /// ([`ShardedIndex::parallel_build_applies`]).
-    pub fn build_from_store<S: BlockStore>(map: ShardMap, store: &S) -> ShardedIndex {
-        let blocks = store.len();
-        if !ShardedIndex::parallel_build_applies(map, blocks) {
-            // Serial replay — still sharded (smaller, hotter trees), just
-            // without thread overhead the hardware cannot amortise.
-            let mut index = ShardedIndex::with_map(map);
-            for sealed in store.iter() {
-                index.index_block(sealed.block());
-            }
-            return index;
-        }
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let workers = map.shards().min(blocks).min(cores.max(2));
-        ShardedIndex::build_parallel(map, store, workers)
-    }
-
-    /// The threaded half of [`ShardedIndex::build_from_store`], with an
-    /// explicit worker count. Split out (and directly unit-tested) so
-    /// single-core hosts, whose `build_from_store` always takes the
-    /// serial path, still exercise the scatter/build phases.
-    fn build_parallel<S: BlockStore>(map: ShardMap, store: &S, workers: usize) -> ShardedIndex {
-        let shards = map.shards();
-        let blocks = store.len();
-        let workers = workers.clamp(1, blocks.max(1));
-        let chunk = blocks.div_ceil(workers);
-        let scattered: Vec<Vec<Vec<(EntryId, Location)>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut buckets: Vec<Vec<(EntryId, Location)>> = vec![Vec::new(); shards];
-                        let start = w * chunk;
-                        let end = ((w + 1) * chunk).min(blocks);
-                        for i in start..end {
-                            let block = store.get(i).expect("index in range");
-                            for (id, location) in block_index_pairs(block.block()) {
-                                buckets[map.shard_of_entry(id)].push((id, location));
-                            }
-                        }
-                        buckets
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scatter worker panicked"))
-                .collect()
-        });
-
-        // Workers, not one thread per shard: a worker owns every
-        // `shards / workers`-th shard, so huge shard counts never
-        // translate into huge thread counts.
-        let built: Vec<EntryIndex> = std::thread::scope(|scope| {
-            let scattered = &scattered;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut mine: Vec<(usize, EntryIndex)> = Vec::new();
-                        let mut s = w;
-                        while s < shards {
-                            let mut shard = EntryIndex::new();
-                            for range in scattered {
-                                for (id, location) in &range[s] {
-                                    shard.insert(*id, *location);
-                                }
-                            }
-                            mine.push((s, shard));
-                            s += workers;
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            let mut built: Vec<Option<EntryIndex>> = (0..shards).map(|_| None).collect();
-            for handle in handles {
-                for (s, shard) in handle.join().expect("build worker panicked") {
-                    built[s] = Some(shard);
-                }
-            }
-            built
-                .into_iter()
-                .map(|s| s.expect("every shard built exactly once"))
-                .collect()
-        });
-
-        ShardedIndex { map, shards: built }
-    }
 }
 
 /// Logical equality: same `(id, location)` pairs, regardless of shard
-/// count or layout — two chains only differing in shard count compare
-/// equal, like stores only differing in pruning history do.
+/// count or layout, like stores only differing in pruning history do.
 impl PartialEq for ShardedIndex {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && self.iter().eq(other.iter())
@@ -448,11 +303,6 @@ impl ShardedMempool {
         }
     }
 
-    /// Number of author shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total pending entries.
     pub fn len(&self) -> usize {
         self.len
@@ -461,11 +311,6 @@ impl ShardedMempool {
     /// Whether nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Pending entries in shard `shard` (diagnostics / fairness tests).
-    pub fn shard_len(&self, shard: usize) -> usize {
-        self.shards[shard].len()
     }
 
     /// Whether a byte-identical entry is already pending (what
@@ -611,7 +456,6 @@ impl ShardedMempool {
 mod tests {
     use super::*;
     use crate::block::{BlockBody, Seal};
-    use crate::store::{MemStore, SealedBlock, SegStore};
     use crate::summary::SummaryRecord;
     use crate::types::{EntryNumber, Timestamp};
     use seldel_codec::DataRecord;
@@ -718,69 +562,6 @@ mod tests {
         assert_eq!(one, eight);
         eight.retire_before(BlockNumber(2));
         assert_ne!(one, eight);
-    }
-
-    fn store_with_blocks<S: BlockStore>(blocks: u64) -> S {
-        let mut store = S::default();
-        for n in 0..blocks {
-            let block = if n > 0 && n % 5 == 0 {
-                // Re-carry an earlier entry so overwrites happen.
-                let origin = EntryId::new(BlockNumber(n - 2), EntryNumber(0));
-                let entry = data_entry((n % 7) as u8 + 1, n - 2);
-                let record = SummaryRecord::from_entry(&entry, origin, Timestamp((n - 2) * 10))
-                    .expect("data entry");
-                summary_block(n, vec![record])
-            } else {
-                normal_block(
-                    n,
-                    vec![
-                        data_entry((n % 7) as u8 + 1, n),
-                        data_entry((n % 5) as u8 + 1, n + 1000),
-                    ],
-                )
-            };
-            store.push(SealedBlock::seal(block));
-        }
-        store
-    }
-
-    #[test]
-    fn parallel_rebuild_equals_serial_replay() {
-        // Above and below the parallel threshold, on two backends.
-        for blocks in [10u64, 300] {
-            let mem: MemStore = store_with_blocks(blocks);
-            let seg: SegStore = store_with_blocks(blocks);
-            let mut serial = ShardedIndex::new(8);
-            for sealed in mem.iter() {
-                serial.index_block(sealed.block());
-            }
-            for shards in [1usize, 4, 16] {
-                let parallel = ShardedIndex::build_from_store(ShardMap::new(shards), &mem);
-                assert_eq!(parallel, serial, "{blocks} blocks, {shards} shards");
-                let from_seg = ShardedIndex::build_from_store(ShardMap::new(shards), &seg);
-                assert_eq!(from_seg, serial);
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_build_matches_serial_for_any_worker_count() {
-        // build_from_store only engages threads on multi-core hosts; this
-        // drives the scatter/build phases directly so the path is
-        // exercised everywhere, including odd worker counts that leave
-        // some workers idle or owning several shards.
-        let mem: MemStore = store_with_blocks(150);
-        for shards in [2usize, 4, 16] {
-            let map = ShardMap::new(shards);
-            let mut serial = ShardedIndex::with_map(map);
-            for sealed in mem.iter() {
-                serial.index_block(sealed.block());
-            }
-            for workers in [1usize, 2, 3, 7, 16, 64] {
-                let parallel = ShardedIndex::build_parallel(map, &mem, workers);
-                assert_eq!(parallel, serial, "{shards} shards, {workers} workers");
-            }
-        }
     }
 
     #[test]

@@ -258,13 +258,11 @@ impl Eq for BlockRef<'_> {}
 /// of internal layout, because [`Blockchain`](crate::chain::Blockchain)
 /// derives its own `PartialEq` from the store's.
 ///
-/// Stores are `Send + Sync`: the shard subsystem replays segments into
-/// index shards concurrently and answers batched lookups shard-parallel,
-/// both of which share `&Store` across scoped threads. Mutation stays
-/// exclusive (`&mut self`), so implementations need no interior locking.
-pub trait BlockStore:
-    Default + Clone + PartialEq + Eq + std::fmt::Debug + Send + Sync + 'static
-{
+/// The chain layer is single-threaded, so stores need not be `Send` or
+/// `Sync`: a paged backend may keep its read cache behind a `RefCell`
+/// and fill it from `&self`. Mutation of the blocks stays exclusive
+/// (`&mut self`).
+pub trait BlockStore: Default + Clone + PartialEq + Eq + std::fmt::Debug + 'static {
     /// Iterator over stored blocks, oldest first. Items are guards, not
     /// borrows: a paged backend materialises each block as the iterator
     /// reaches it, so consumers that need the predecessor (linkage walks)

@@ -190,19 +190,17 @@ proptest! {
     /// Satellite of the shard subsystem PR, extending the PR 2 index
     /// property tests to the **retire path**: under randomized marker-shift
     /// sequences, the incrementally maintained (sharded) index must stay
-    /// equal to a from-scratch rebuild — on all three backends, at every
-    /// shard count, with summary-carried records in the mix so
-    /// `retire_before` has both survivors and casualties to judge.
+    /// equal to a from-scratch rebuild — on all three backends, with
+    /// summary-carried records in the mix so `retire_before` has both
+    /// survivors and casualties to judge.
     #[test]
     fn retire_before_matches_full_rebuild_under_random_marker_shifts(
         blocks in 8u64..40,
         cuts in proptest::collection::vec(1u64..7, 1..5),
-        shard_pow in 0u32..5,
     ) {
         use seldel_chain::testutil::ScratchDir;
         use seldel_chain::{FileStore, MemStore, SegStore};
 
-        let shards = 1usize << shard_pow;
         let source = build_mixed_chain(blocks);
         let dir = ScratchDir::new("retireprop");
         let file_store = FileStore::open_with_capacity(dir.path(), 4).expect("store opens");
@@ -218,9 +216,6 @@ proptest! {
         for block in exported {
             file.push(block).expect("valid link");
         }
-        mem.reshard(shards);
-        seg.reshard(shards);
-        file.reshard(shards);
 
         // Probe every id that was ever indexed (survivors and casualties).
         let probes: Vec<EntryId> = mem.rebuilt_index().iter().map(|(id, _)| id).collect();
@@ -246,14 +241,11 @@ proptest! {
             prop_assert_eq!(mem.export_bytes(), file.export_bytes());
         }
 
-        // Close/reopen the durable backend mid-history: the parallel
-        // rebuild on recovery reproduces the maintained state.
+        // Close/reopen the durable backend mid-history: the rebuild on
+        // recovery reproduces the maintained state.
         drop(file);
-        let reopened = Blockchain::from_store_with_shards(
-            FileStore::open(dir.path()).expect("reopen"),
-            shards,
-        )
-        .expect("valid chain");
+        let reopened =
+            Blockchain::from_store(FileStore::open(dir.path()).expect("reopen")).expect("valid chain");
         prop_assert_eq!(reopened.entry_index(), &mem.rebuilt_index());
         for id in &probes {
             prop_assert_eq!(reopened.locate(*id), mem.locate(*id), "id {}", id);
@@ -261,20 +253,18 @@ proptest! {
     }
 
     /// Merkle commitments are backend-independent: the payload roots
-    /// cached at seal time on `MemStore` equal the `SegStore` roots at
-    /// random shard counts and the `FileStore` roots — before and after a
+    /// cached at seal time on `MemStore` equal the `SegStore` roots and
+    /// the `FileStore` roots — before and after a
     /// marker shift, and across a close-and-replay cycle where the durable
     /// backend re-derives every root from raw frame bytes.
     #[test]
     fn payload_roots_agree_across_backends(
         blocks in 4u64..24,
-        shard_pow in 0u32..5,
         cut in 0u64..8,
     ) {
         use seldel_chain::testutil::ScratchDir;
         use seldel_chain::{validate_store_incremental, FileStore, MemStore, SegStore};
 
-        let shards = 1usize << shard_pow;
         let source = build_mixed_chain(blocks);
         let dir = ScratchDir::new("rootprop");
         let file_store = FileStore::open_with_capacity(dir.path(), 4).expect("store opens");
@@ -289,7 +279,6 @@ proptest! {
         for block in exported {
             file.push(block).expect("valid link");
         }
-        seg.reshard(shards);
 
         let cut = cut.min(blocks);
         if cut > 0 {

@@ -90,7 +90,6 @@ pub struct SelectiveLedgerBuilder<S: BlockStore = MemStore> {
     schemas: SchemaRegistry,
     policies: Vec<Arc<dyn CohesionPolicy>>,
     genesis_time: Timestamp,
-    shards: usize,
     _store: PhantomData<S>,
 }
 
@@ -106,26 +105,8 @@ impl<S: BlockStore> SelectiveLedgerBuilder<S> {
             schemas: self.schemas,
             policies: self.policies,
             genesis_time: self.genesis_time,
-            shards: self.shards,
             _store: PhantomData,
         }
-    }
-
-    /// Sets the shard count for the entry index and the mempool (must be
-    /// a power of two; default [`DEFAULT_SHARD_COUNT`]). Shards are
-    /// node-local derived state: query answers are bit-identical at any
-    /// count, and so are sealed chains under uncapped intake. With a
-    /// [`ChainConfig::max_block_entries`] cap, the fair drain's
-    /// round-robin order follows author→shard routing, so *which*
-    /// pending entries a given block takes is a leader-local scheduling
-    /// choice that varies with the count — every choice seals a valid
-    /// chain, and consensus (I2) is untouched either way.
-    pub fn shards(mut self, shards: usize) -> Self {
-        // Validate eagerly so a bad count fails at the builder, not at
-        // first use.
-        let _ = seldel_chain::ShardMap::new(shards);
-        self.shards = shards;
-        self
     }
 
     /// Sets the role table (§IV-D1).
@@ -212,7 +193,7 @@ impl<S: BlockStore> SelectiveLedgerBuilder<S> {
             let chain = Blockchain::with_genesis_in(store, genesis);
             return Ok(self.into_ledger(chain));
         }
-        let chain = Blockchain::from_store_with_shards(store, self.shards)?;
+        let chain = Blockchain::from_store(store)?;
         seldel_chain::validate_chain(&chain, &seldel_chain::ValidationOptions::default())?;
         let mut ledger = self.into_ledger(chain);
         ledger.recover_derived_state();
@@ -220,10 +201,7 @@ impl<S: BlockStore> SelectiveLedgerBuilder<S> {
     }
 
     /// Wraps a ready chain with fresh ledger-side state.
-    fn into_ledger(self, mut chain: Blockchain<S>) -> SelectiveLedger<S> {
-        if chain.shard_count() != self.shards {
-            chain.reshard(self.shards);
-        }
+    fn into_ledger(self, chain: Blockchain<S>) -> SelectiveLedger<S> {
         let blocks_appended = chain.tip().number().value() + 1;
         let retired_blocks = chain.marker().value();
         SelectiveLedger {
@@ -236,7 +214,7 @@ impl<S: BlockStore> SelectiveLedgerBuilder<S> {
             policies: self.policies,
             dependents: BTreeMap::new(),
             history: BTreeMap::new(),
-            pending: ShardedMempool::new(self.shards),
+            pending: ShardedMempool::new(DEFAULT_SHARD_COUNT),
             tenant_policies: BTreeMap::new(),
             events: VecDeque::new(),
             summaries_created: 0,
@@ -299,7 +277,9 @@ pub struct SelectiveLedger<S: BlockStore = MemStore> {
     history: BTreeMap<[u8; 32], BTreeSet<String>>,
     /// The author-sharded mempool (see `seldel_chain::shard`): per-shard
     /// dedup at intake, exact-FIFO drain when a whole batch seals, fair
-    /// round-robin drain under `ChainConfig::max_block_entries`.
+    /// round-robin drain under `ChainConfig::max_block_entries`. Which
+    /// pending entries a capped block takes is a leader-local scheduling
+    /// choice; every choice seals a valid chain and I2 is untouched.
     pending: ShardedMempool,
     /// Registered per-tenant deletion policies, keyed by owner key bytes.
     /// Each is stored pre-scoped to the owner's own records
@@ -339,7 +319,6 @@ impl SelectiveLedger {
             schemas: SchemaRegistry::new(),
             policies: Vec::new(),
             genesis_time: Timestamp::ZERO,
-            shards: DEFAULT_SHARD_COUNT,
             _store: PhantomData,
         }
     }
@@ -613,9 +592,8 @@ impl<S: BlockStore> SelectiveLedger<S> {
     }
 
     /// Batched [`SelectiveLedger::locate`]: one answer per id, in input
-    /// order, resolved shard-parallel for large batches (see
-    /// [`Blockchain::locate_many`]). Duplicate ids in one batch are
-    /// answered element-wise: every occurrence gets the same answer a
+    /// order (see [`Blockchain::locate_many`]). Duplicate ids in one batch
+    /// are answered element-wise: every occurrence gets the same answer a
     /// lone query would.
     pub fn locate_many(&self, ids: &[EntryId]) -> Vec<Option<Located<'_>>> {
         self.chain.locate_many(ids)
@@ -623,11 +601,11 @@ impl<S: BlockStore> SelectiveLedger<S> {
 
     /// Bulk deletion audit: for each id, whether the data set is live —
     /// physically present *and* not deletion-marked — element-wise equal
-    /// to [`SelectiveLedger::is_live`] but resolved in one shard-parallel
-    /// pass. This is the query a compliance sweep asks ("are all of these
-    /// really gone / still here?") after deletions execute. Like
-    /// [`SelectiveLedger::locate_many`], duplicate ids each get the
-    /// element-wise answer, on the sharded and monolithic paths alike.
+    /// to [`SelectiveLedger::is_live`] but resolved in one batched
+    /// [`Blockchain::locate_many`] pass. This is the query a compliance
+    /// sweep asks ("are all of these really gone / still here?") after
+    /// deletions execute. Like [`SelectiveLedger::locate_many`], duplicate
+    /// ids each get the element-wise answer.
     pub fn audit_live(&self, ids: &[EntryId]) -> Vec<bool> {
         self.chain
             .locate_many(ids)
@@ -1786,16 +1764,14 @@ mod tests {
     fn capped_seal_drains_fairly_and_keeps_the_overflow() {
         use seldel_chain::testutil::distinct_shard_author_seeds;
         use seldel_chain::ShardMap;
-        let shards = 4;
         let mut ledger = SelectiveLedger::builder(ChainConfig {
             max_block_entries: Some(3),
             ..ChainConfig::paper_evaluation()
         })
-        .shards(shards)
         .build();
 
         // Two authors on distinct mempool shards; the first floods.
-        let seeds = distinct_shard_author_seeds(ShardMap::new(shards), 2);
+        let seeds = distinct_shard_author_seeds(ShardMap::new(DEFAULT_SHARD_COUNT), 2);
         let (hot, quiet) = (key(seeds[0]), key(seeds[1]));
         for n in 0..8u64 {
             ledger
@@ -1918,28 +1894,6 @@ mod tests {
         for (id, loc) in ids.iter().zip(&located) {
             assert_eq!(*loc, ledger.locate(*id), "id {id}");
         }
-    }
-
-    #[test]
-    fn shard_count_is_invisible_to_chain_bytes() {
-        // The whole point of keeping shards outside consensus (I2): the
-        // same workload at any shard count yields bit-identical chains.
-        let alice = key(1);
-        let mut chains = Vec::new();
-        for shards in [1usize, 2, 16] {
-            let mut ledger = SelectiveLedger::builder(ChainConfig::paper_evaluation())
-                .shards(shards)
-                .build();
-            grow_in(&mut ledger, 20, &alice);
-            assert_eq!(ledger.chain().shard_count(), shards);
-            assert_eq!(
-                ledger.chain().entry_index(),
-                &ledger.chain().rebuilt_index()
-            );
-            chains.push(ledger.chain().export_bytes());
-        }
-        assert_eq!(chains[0], chains[1]);
-        assert_eq!(chains[1], chains[2]);
     }
 
     #[test]

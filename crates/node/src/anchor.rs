@@ -727,7 +727,7 @@ mod tests {
     #[test]
     fn flooding_author_cannot_starve_others_out_of_a_sealed_block() {
         use seldel_chain::testutil::distinct_shard_author_seeds;
-        use seldel_chain::ShardMap;
+        use seldel_chain::{ShardMap, DEFAULT_SHARD_COUNT};
 
         let mut net = SimNetwork::new(NetConfig::default());
         let leader = NodeId(0);
@@ -735,16 +735,15 @@ mod tests {
             max_block_entries: Some(4),
             ..ChainConfig::paper_evaluation()
         };
-        let shards = 4;
         let l = net.add_node(Box::new(AnchorNode::new(
-            SelectiveLedger::builder(config).shards(shards).build(),
+            SelectiveLedger::builder(config).build(),
             leader,
             100,
         )));
         net.schedule_tick(l, 100);
 
         // Pick authors guaranteed to route to different mempool shards.
-        let seeds = distinct_shard_author_seeds(ShardMap::new(shards), 2);
+        let seeds = distinct_shard_author_seeds(ShardMap::new(DEFAULT_SHARD_COUNT), 2);
         let (hot, quiet) = (seeds[0], seeds[1]);
 
         // The hot author floods 16 entries, then the quiet author sends

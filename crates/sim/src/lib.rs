@@ -10,9 +10,9 @@
 //! * [`attacks`] — Fig. 9's 51 % race ± anchoring, eclipse quantification.
 //! * [`crash`] — experiment E7: crash/restart of the durable `FileStore`
 //!   backend against a never-closed `MemStore` oracle.
-//! * [`tenants`] — experiment E9: the multi-tenant workload (Zipf-skewed
-//!   authors, mixed insert/delete/query) behind the sharded query &
-//!   intake subsystem's benchmarks and fairness tests.
+//! * [`tenants`] — the multi-tenant workload (Zipf-skewed authors, mixed
+//!   insert/delete/query) behind the sharded query & intake subsystem's
+//!   fairness and equivalence tests.
 //! * [`metrics`] — summary statistics for the harness.
 
 #![forbid(unsafe_code)]

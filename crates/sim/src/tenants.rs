@@ -7,14 +7,14 @@
 //! `authors` signing keys whose submission rates follow a Zipf
 //! distribution with skew `zipf_s`, mixed with owner-issued deletions and
 //! batched liveness queries after every sealed block. It is the fixture
-//! behind the `exp_shard` experiment (E9) and the fairness/equivalence
-//! tests of the sharded query & intake subsystem.
+//! behind the fairness/equivalence tests of the sharded query & intake
+//! subsystem.
 //!
 //! Everything is deterministic per seed (the vendored xoshiro `StdRng`),
-//! so two runs — or the same run on different storage backends or, under
-//! uncapped intake, different shard counts — produce bit-identical
-//! chains. (With a `max_block_entries` cap, block composition follows
-//! the leader's fair-drain schedule, which depends on author routing.)
+//! so two runs — or the same run on different storage backends — produce
+//! bit-identical chains. (With a `max_block_entries` cap, block
+//! composition follows the leader's fair-drain schedule, which depends on
+//! author routing.)
 
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use seldel_chain::{BlockStore, Entry, EntryId, Timestamp};
@@ -86,8 +86,6 @@ pub struct TenantConfig {
     pub l_max: u64,
     /// Leader block capacity (None = seal everything, the default).
     pub max_block_entries: Option<usize>,
-    /// Shard count for the index and mempool.
-    pub shards: usize,
     /// Workload RNG seed.
     pub seed: u64,
 }
@@ -104,7 +102,6 @@ impl Default for TenantConfig {
             sequence_length: 5,
             l_max: 60,
             max_block_entries: None,
-            shards: seldel_chain::DEFAULT_SHARD_COUNT,
             seed: 0x7E4A7,
         }
     }
@@ -159,7 +156,6 @@ pub fn run_multi_tenant_in<S: BlockStore>(
     cfg: &TenantConfig,
 ) -> (SelectiveLedger<S>, TenantReport) {
     let ledger = SelectiveLedger::builder(tenant_chain_config(cfg))
-        .shards(cfg.shards)
         .store_backend::<S>()
         .build();
     drive_multi_tenant(ledger, cfg)
@@ -335,21 +331,14 @@ mod tests {
 
     #[test]
     fn shard_count_and_backend_are_invisible_to_the_chain() {
-        let base = small_cfg();
-        let (mem1, r1) = run_multi_tenant_in::<MemStore>(&TenantConfig {
-            shards: 1,
-            ..base.clone()
-        });
-        let (mem8, r8) = run_multi_tenant_in::<MemStore>(&TenantConfig {
-            shards: 8,
-            ..base.clone()
-        });
-        let (seg, rs) = run_multi_tenant_in::<SegStore>(&TenantConfig { shards: 8, ..base });
-        assert_eq!(r1, r8, "shard count changed observable behaviour");
-        assert_eq!(r8, rs, "backend changed observable behaviour");
-        assert_eq!(mem1.chain().export_bytes(), mem8.chain().export_bytes());
-        assert_eq!(mem8.chain().export_bytes(), seg.chain().export_bytes());
-        assert_eq!(mem8.chain().entry_index(), &mem8.chain().rebuilt_index());
+        let cfg = small_cfg();
+        let (mem, rm) = run_multi_tenant_in::<MemStore>(&cfg);
+        let (seg, rs) = run_multi_tenant_in::<SegStore>(&cfg);
+        assert_eq!(rm, rs, "backend changed observable behaviour");
+        assert_eq!(mem.chain().export_bytes(), seg.chain().export_bytes());
+        // The sharded index answers exactly like the monolithic one.
+        assert_eq!(mem.chain().entry_index(), &mem.chain().rebuilt_index());
+        assert_eq!(seg.chain().entry_index(), &seg.chain().rebuilt_index());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! one-at-a-time [`request_deletion`] loop over the same plan must be
 //! indistinguishable on-chain — the same blocks byte for byte, the same
 //! Merkle payload roots, the same entry index and Σ records — on every
-//! storage backend and shard count. The bulk path earns its existence
+//! storage backend. The bulk path earns its existence
 //! purely as an ergonomic/performance front door; the moment it could
 //! produce a chain the sequential path could not, replicas replaying one
 //! side would diverge from replicas replaying the other.
@@ -10,7 +10,6 @@
 //! [`apply_policy`]: seldel_core::SelectiveLedger::apply_policy
 //! [`request_deletion`]: seldel_core::SelectiveLedger::request_deletion
 
-use rand::{rngs::StdRng, RngExt, SeedableRng};
 use seldel_chain::testutil::ScratchDir;
 use seldel_chain::{BlockStore, FileStore, MemStore, SegStore, Timestamp};
 use seldel_core::{CompiledPolicy, Role, RoleTable, SelectiveLedger, Selector};
@@ -31,7 +30,7 @@ fn admin_key() -> SigningKey {
     SigningKey::from_seed([0xAD; 32])
 }
 
-fn oracle_cfg(shards: usize) -> TenantConfig {
+fn oracle_cfg() -> TenantConfig {
     TenantConfig {
         authors: 12,
         zipf_s: 1.0,
@@ -42,7 +41,6 @@ fn oracle_cfg(shards: usize) -> TenantConfig {
         sequence_length: 4,
         l_max: 24,
         max_block_entries: None,
-        shards,
         seed: 0xBEEF,
     }
 }
@@ -65,7 +63,6 @@ fn sweep_policy() -> CompiledPolicy {
 fn build_ledger<S: BlockStore>(cfg: &TenantConfig) -> SelectiveLedger<S> {
     SelectiveLedger::builder(tenant_chain_config(cfg))
         .roles(RoleTable::new().with(admin_key().verifying_key(), Role::Admin))
-        .shards(cfg.shards)
         .store_backend::<S>()
         .build()
 }
@@ -155,44 +152,36 @@ fn run_pair<A: BlockStore, B: BlockStore>(
 
 #[test]
 fn bulk_policy_apply_is_indistinguishable_from_a_sequential_oracle() {
-    // One deliberate shard count and one drawn at random: the equivalence
-    // must hold wherever the shard map happens to land the hot authors.
-    let mut rng = StdRng::seed_from_u64(0x0513);
-    let random_shards = 1usize << rng.random_range(1..=4u32);
-    let mut exports: Vec<(String, Vec<u8>)> = Vec::new();
+    let cfg = oracle_cfg();
+    let mut exports: Vec<(&str, Vec<u8>)> = Vec::new();
 
-    for shards in [1, random_shards] {
-        let cfg = oracle_cfg(shards);
-        let bytes = run_pair(
-            build_ledger::<MemStore>(&cfg),
-            build_ledger::<MemStore>(&cfg),
-            &cfg,
-        );
-        exports.push((format!("mem/{shards}"), bytes));
-    }
+    let bytes = run_pair(
+        build_ledger::<MemStore>(&cfg),
+        build_ledger::<MemStore>(&cfg),
+        &cfg,
+    );
+    exports.push(("mem", bytes));
 
-    let cfg = oracle_cfg(random_shards);
     let bytes = run_pair(
         build_ledger::<SegStore>(&cfg),
         build_ledger::<SegStore>(&cfg),
         &cfg,
     );
-    exports.push((format!("seg/{random_shards}"), bytes));
+    exports.push(("seg", bytes));
 
     // Durable pair — and deliberately mixed backends: the FileStore bulk
     // side must match the MemStore oracle too.
     let scratch = ScratchDir::new("policy-oracle");
     let durable = SelectiveLedger::builder(tenant_chain_config(&cfg))
         .roles(RoleTable::new().with(admin_key().verifying_key(), Role::Admin))
-        .shards(cfg.shards)
         .store_backend::<FileStore>()
         .on_disk(scratch.path())
         .expect("fresh store opens");
     let bytes = run_pair(durable, build_ledger::<MemStore>(&cfg), &cfg);
-    exports.push((format!("file/{random_shards}"), bytes));
+    exports.push(("file", bytes));
 
-    // Backends and shard counts are invisible to the sealed chain, so
-    // every combination must have produced the very same bytes.
+    // Backends are invisible to the sealed chain, so every combination
+    // must have produced the very same bytes.
     let (first_tag, first) = &exports[0];
     for (tag, bytes) in &exports[1..] {
         assert_eq!(bytes, first, "{tag} diverged from {first_tag}");

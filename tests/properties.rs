@@ -656,8 +656,8 @@ proptest! {
 // Shard subsystem: the ShardedIndex must answer every query bit-identically
 // to the monolithic EntryIndex oracle — across random workloads (inserts,
 // deletions, TTL expiry), the marker shifts those trigger, every storage
-// backend, any power-of-two shard count, and a close/reopen of the durable
-// backend (whose recovery rebuilds the shards in parallel).
+// backend, and a close/reopen of the durable backend (whose recovery
+// rebuilds the index during its linkage walk).
 // ---------------------------------------------------------------------------
 
 /// Asserts that a chain's sharded index, its locate paths and the batch
@@ -672,7 +672,7 @@ fn assert_probes_match_oracle<S: selective_deletion::chain::BlockStore>(
         assert_eq!(chain.entry_index().contains(*id), oracle.get(*id).is_some());
         assert_eq!(chain.locate(*id), chain.locate_scan(*id), "id {id}");
     }
-    // The shard-parallel batch path equals element-wise lookups.
+    // The batch path equals element-wise lookups.
     let batch = chain.locate_many(probes);
     for (id, got) in probes.iter().zip(&batch) {
         assert_eq!(*got, chain.locate(*id), "id {id}");
@@ -685,22 +685,18 @@ proptest! {
     #[test]
     fn sharded_index_queries_match_the_monolithic_oracle(
         ops in proptest::collection::vec(op_strategy(), 1..50),
-        shard_pow in 0u32..5,
     ) {
         use selective_deletion::chain::{FileStore, SegStore};
 
-        let shards = 1usize << shard_pow;
         let scratch = selective_deletion::chain::testutil::ScratchDir::new("shardprop");
         let dir = scratch.path().to_path_buf();
         let users = users();
         let config = durable_prop_config;
-        let mut mem = SelectiveLedger::builder(config()).shards(shards).build();
+        let mut mem = SelectiveLedger::builder(config()).build();
         let mut seg = SelectiveLedger::builder(config())
-            .shards(shards)
             .store_backend::<SegStore>()
             .build();
         let mut file = SelectiveLedger::builder(config())
-            .shards(shards)
             .store_backend::<FileStore>()
             .open_store(FileStore::open_with_capacity(&dir, 4).expect("store opens"))
             .expect("fresh store");
@@ -782,11 +778,10 @@ proptest! {
         assert_probes_match_oracle(seg.chain(), &oracle, &probes);
         assert_probes_match_oracle(file.chain(), &oracle, &probes);
 
-        // Close/reopen the durable backend: recovery's parallel shard
-        // rebuild must reproduce the same answers.
+        // Close/reopen the durable backend: recovery's index rebuild must
+        // reproduce the same answers.
         drop(file);
         let reopened = SelectiveLedger::builder(config())
-            .shards(shards)
             .store_backend::<FileStore>()
             .on_disk(&dir)
             .expect("recovery succeeds");
