@@ -40,14 +40,30 @@ fn bench_ed25519(c: &mut Criterion) {
     c.bench_function("ed25519/keygen", |b| {
         b.iter(|| SigningKey::from_seed(black_box([9u8; 32])))
     });
-    let encoded = verifying.to_bytes();
+    // `from_bytes` memoises each valid key per thread (at most 1 024 keys,
+    // cleared when full), so a repeated key would time a table hit. Rotating
+    // over twice that many distinct keys makes every parse a first sight:
+    // the decompression plus building and inserting the key's table.
+    let encoded: Vec<[u8; 32]> = (0..2048u16)
+        .map(|i| {
+            let mut seed = [0u8; 32];
+            seed[..2].copy_from_slice(&i.to_le_bytes());
+            SigningKey::from_seed(seed).verifying_key().to_bytes()
+        })
+        .collect();
+    let mut next = 0;
     c.bench_function("ed25519/decompress", |b| {
-        b.iter(|| VerifyingKey::from_bytes(black_box(&encoded)))
+        b.iter(|| {
+            let bytes = &encoded[next % encoded.len()];
+            next += 1;
+            VerifyingKey::from_bytes(black_box(bytes))
+        })
     });
 
     // Round-robin over 64 authors, like the benchmark's tenants: consecutive
-    // verifies never repeat a key or signature, so only the shared
-    // base-point table stays warm between them.
+    // verifies never repeat a key or signature. The base-point table and
+    // all 64 keys' memoised tables stay warm, so each verify decompresses
+    // only `R`.
     let signed: Vec<(VerifyingKey, Signature)> = (0..64u8)
         .map(|i| {
             let key = SigningKey::from_seed([i; 32]);

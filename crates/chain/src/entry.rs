@@ -155,10 +155,7 @@ impl EntryPayload {
 impl Codec for EntryPayload {
     fn encode(&self, enc: &mut Encoder) {
         match self {
-            EntryPayload::Data(record) => {
-                enc.put_u8(0);
-                record.encode(enc);
-            }
+            EntryPayload::Data(record) => encode_data_payload(record, enc),
             EntryPayload::Delete(req) => {
                 enc.put_u8(1);
                 req.encode(enc);
@@ -175,6 +172,12 @@ impl Codec for EntryPayload {
             }),
         }
     }
+}
+
+/// Encodes `EntryPayload::Data(record)` without owning the record.
+fn encode_data_payload(record: &DataRecord, enc: &mut Encoder) {
+    enc.put_u8(0);
+    record.encode(enc);
 }
 
 /// A signed blockchain entry.
@@ -240,9 +243,26 @@ impl Entry {
         expiry: &Option<Expiry>,
         depends_on: &[EntryId],
     ) -> Vec<u8> {
+        Entry::signing_message_with(|enc| payload.encode(enc), expiry, depends_on)
+    }
+
+    /// [`Entry::signing_message`] of a data payload, from a borrowed record.
+    pub(crate) fn data_signing_message(
+        record: &DataRecord,
+        expiry: &Option<Expiry>,
+        depends_on: &[EntryId],
+    ) -> Vec<u8> {
+        Entry::signing_message_with(|enc| encode_data_payload(record, enc), expiry, depends_on)
+    }
+
+    fn signing_message_with(
+        encode_payload: impl FnOnce(&mut Encoder),
+        expiry: &Option<Expiry>,
+        depends_on: &[EntryId],
+    ) -> Vec<u8> {
         let mut enc = Encoder::new();
         enc.put_raw(ENTRY_SIGN_DOMAIN);
-        payload.encode(&mut enc);
+        encode_payload(&mut enc);
         expiry.encode(&mut enc);
         enc.put_len(depends_on.len());
         for dep in depends_on {

@@ -94,11 +94,7 @@ impl SummaryRecord {
     /// Propagates [`SignatureError`] when the signature is invalid — e.g.
     /// when a record was altered during a (buggy or malicious) merge.
     pub fn verify(&self) -> Result<(), SignatureError> {
-        let message = Entry::signing_message(
-            &EntryPayload::Data(self.record.clone()),
-            &self.expiry,
-            &self.depends_on,
-        );
+        let message = Entry::data_signing_message(&self.record, &self.expiry, &self.depends_on);
         self.author.verify(&message, &self.signature)
     }
 
@@ -271,6 +267,30 @@ mod tests {
         let mut tampered = rec.clone();
         tampered.record = DataRecord::new("login").with("user", "MALLORY");
         assert!(tampered.verify().is_err());
+    }
+
+    #[test]
+    fn verify_signs_the_entry_signing_message() {
+        let record = DataRecord::new("login").with("user", "ALPHA");
+        let deps = [EntryId::new(BlockNumber(1), EntryNumber(0))];
+        for expiry in [None, Some(Expiry::AtBlock(BlockNumber(9)))] {
+            for depends_on in [&[][..], &deps[..]] {
+                assert_eq!(
+                    Entry::data_signing_message(&record, &expiry, depends_on),
+                    Entry::signing_message(
+                        &EntryPayload::Data(record.clone()),
+                        &expiry,
+                        depends_on
+                    ),
+                    "expiry {expiry:?}, {} deps",
+                    depends_on.len()
+                );
+            }
+        }
+        let expiry = Some(Expiry::AtBlock(BlockNumber(9)));
+        let e = Entry::sign_data_with(&key(6), record, expiry, deps.to_vec());
+        let rec = SummaryRecord::from_entry(&e, origin(), Timestamp(7)).unwrap();
+        rec.verify().unwrap();
     }
 
     #[test]

@@ -12,11 +12,24 @@
 //! `[k](−A) + [s]B = R` in one Straus pass over width-5 (for `A`) and
 //! width-8 (for `B`) non-adjacent forms, with `B`'s 64 odd multiples
 //! precomputed once per process. Inversion and the decompression square
-//! root use the ref10 addition chain. Signing and key derivation use the
-//! same base-point table, indexed by the digits of the secret nonce and
-//! the secret scalar: like the rest of this crate, that is variable-time
-//! and leaks through timing and cache access (see the crate-level security
-//! note).
+//! root use the ref10 addition chain.
+//!
+//! Public keys are validated once per thread. A private thread-local table
+//! maps the 32 compressed key bytes to the eight odd multiples of `−A` that
+//! the Straus pass indexes. [`VerifyingKey::from_bytes`] and
+//! [`VerifyingKey::verify`] both look the key up there. On a miss the key is
+//! decompressed with every check (canonical `y`, square `x²`, no negative
+//! zero), the table for `−A` is built, and it is inserted; a key that fails
+//! to decompress is never inserted, so every rejection runs the full check.
+//! The table holds at most 1 024 keys (about 1.3 MB) and is cleared when
+//! full. It is a memo of a pure function of public bytes: verdicts, the
+//! error order and every decode path are the same as without it. Only `R`
+//! is still decompressed per signature.
+//!
+//! Signing and key derivation use the same base-point table, indexed by the
+//! digits of the secret nonce and the secret scalar: like the rest of this
+//! crate, that is variable-time and leaks through timing and cache access
+//! (see the crate-level security note).
 //!
 //! # Example
 //!
@@ -34,12 +47,54 @@ mod field;
 mod point;
 mod scalar;
 
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::hex;
 use crate::sha512::Sha512;
-use point::EdwardsPoint;
+use point::{EdwardsPoint, VarTable};
 use scalar::Scalar;
+
+/// Most validated keys the table of one thread holds before it is cleared.
+const KEY_TABLE_CAPACITY: usize = 1024;
+
+thread_local! {
+    /// Compressed key bytes → odd multiples of `−A`, for every key that
+    /// decompressed on this thread since the table was last cleared.
+    static KEY_TABLE: RefCell<HashMap<[u8; 32], Box<VarTable>>> = RefCell::new(HashMap::new());
+}
+
+/// Runs `f` on the odd multiples of `−A` for the key `bytes` encodes,
+/// decompressing it and inserting its table on first sight. Returns `None`,
+/// and caches nothing, when `bytes` is not a valid point encoding.
+fn with_neg_key_table<R>(bytes: &[u8; 32], f: impl FnOnce(&VarTable) -> R) -> Option<R> {
+    KEY_TABLE.with(|table| {
+        let mut table = table.borrow_mut();
+        if let Some(neg_a) = table.get(bytes) {
+            return Some(f(neg_a));
+        }
+        let a = EdwardsPoint::decompress(bytes)?;
+        if table.len() >= KEY_TABLE_CAPACITY {
+            table.clear();
+        }
+        Some(f(table
+            .entry(*bytes)
+            .or_insert_with(|| Box::new(a.neg().var_table()))))
+    })
+}
+
+/// Empties this thread's key table, so the next use of any key is a miss.
+#[cfg(test)]
+fn clear_key_table() {
+    KEY_TABLE.with(|table| table.borrow_mut().clear());
+}
+
+/// Keys in this thread's key table.
+#[cfg(test)]
+fn key_table_len() -> usize {
+    KEY_TABLE.with(|table| table.borrow().len())
+}
 
 /// Errors arising from signature parsing or verification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,8 +185,7 @@ impl VerifyingKey {
     /// Returns [`SignatureError::InvalidPublicKey`] if the bytes do not
     /// decode to a curve point.
     pub fn from_bytes(bytes: &[u8; 32]) -> Result<VerifyingKey, SignatureError> {
-        EdwardsPoint::decompress(bytes)
-            .map(|_| VerifyingKey { compressed: *bytes })
+        with_neg_key_table(bytes, |_| VerifyingKey { compressed: *bytes })
             .ok_or(SignatureError::InvalidPublicKey)
     }
 
@@ -166,22 +220,23 @@ impl VerifyingKey {
     /// * [`SignatureError::NonCanonicalScalar`] — `s >= ℓ`.
     /// * [`SignatureError::VerificationFailed`] — the equation does not hold.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), SignatureError> {
-        let a =
-            EdwardsPoint::decompress(&self.compressed).ok_or(SignatureError::InvalidPublicKey)?;
-        let r = EdwardsPoint::decompress(&signature.r_bytes)
-            .ok_or(SignatureError::InvalidSignaturePoint)?;
-        let s = Scalar::from_canonical_bytes(&signature.s_bytes)
-            .ok_or(SignatureError::NonCanonicalScalar)?;
+        with_neg_key_table(&self.compressed, |neg_a| {
+            let r = EdwardsPoint::decompress(&signature.r_bytes)
+                .ok_or(SignatureError::InvalidSignaturePoint)?;
+            let s = Scalar::from_canonical_bytes(&signature.s_bytes)
+                .ok_or(SignatureError::NonCanonicalScalar)?;
 
-        let k = challenge_scalar(&signature.r_bytes, &self.compressed, message);
+            let k = challenge_scalar(&signature.r_bytes, &self.compressed, message);
 
-        // [s]B == R + [k]A, checked as [k](−A) + [s]B == R in one pass.
-        let check = EdwardsPoint::double_scalar_mul_base(&k, &a.neg(), &s);
-        if check == r {
-            Ok(())
-        } else {
-            Err(SignatureError::VerificationFailed)
-        }
+            // [s]B == R + [k]A, checked as [k](−A) + [s]B == R in one pass.
+            let check = EdwardsPoint::double_scalar_mul_base(&k, neg_a, &s);
+            if check == r {
+                Ok(())
+            } else {
+                Err(SignatureError::VerificationFailed)
+            }
+        })
+        .unwrap_or(Err(SignatureError::InvalidPublicKey))
     }
 }
 
@@ -491,6 +546,12 @@ mod tests {
     /// validity.
     #[test]
     fn verdict_table() {
+        check_verdict_table("table");
+    }
+
+    /// Asserts every [`verdict_table`] row, and that `from_bytes` rejects
+    /// exactly the rows whose key `verify` rejects. `pass` names the run.
+    fn check_verdict_table(pass: &str) {
         use SignatureError::*;
         const MSG: &[u8] = b"selective deletion verdict";
         let y_p = "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f";
@@ -541,8 +602,125 @@ mod tests {
             (RFC1_A, neg_zero, l, b"", Err(InvalidSignaturePoint)),
         ];
         for (i, (a, r, s, msg, expected)) in cases.into_iter().enumerate() {
-            assert_eq!(verify_raw(a, r, s, msg), expected, "case {i}");
+            assert_eq!(verify_raw(a, r, s, msg), expected, "{pass} case {i}");
+            let a = VerifyingKey::from_bytes(&hex::decode_array::<32>(a).unwrap());
+            assert_eq!(
+                a.err() == Some(InvalidPublicKey),
+                expected == Err(InvalidPublicKey),
+                "{pass} case {i}: from_bytes"
+            );
         }
+    }
+
+    /// RFC 8032 §7.1 TESTS 1–3: public key, message and signature.
+    const RFC_VECTORS: [(&str, &[u8], &str); 3] = [
+        (
+            RFC1_A,
+            b"",
+            "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155\
+             5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b",
+        ),
+        (
+            "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c",
+            &[0x72],
+            "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da\
+             085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00",
+        ),
+        (
+            "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025",
+            &[0xaf, 0x82],
+            "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac\
+             18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a",
+        ),
+    ];
+
+    /// Asserts each RFC 8032 vector parses and verifies, and fails on a
+    /// message one byte longer. `pass` names the run.
+    fn check_rfc_vectors(pass: &str) {
+        for (i, (a, msg, sig)) in RFC_VECTORS.into_iter().enumerate() {
+            let key = VerifyingKey::from_bytes(&hex::decode_array::<32>(a).unwrap())
+                .unwrap_or_else(|e| panic!("{pass} vector {i}: {e}"));
+            let sig = Signature::from_bytes(&hex::decode_array::<64>(sig).unwrap());
+            assert_eq!(key.verify(msg, &sig), Ok(()), "{pass} vector {i}");
+            let longer = [msg, &[0]].concat();
+            assert_eq!(
+                key.verify(&longer, &sig),
+                Err(SignatureError::VerificationFailed),
+                "{pass} vector {i}: longer message"
+            );
+        }
+    }
+
+    /// The verdict table and the RFC 8032 vectors on an empty key table,
+    /// again on the table the first pass filled, and once more after
+    /// clearing it. The table is a memo: no verdict and no error changes.
+    #[test]
+    fn key_table_keeps_every_verdict_cold_warm_and_cleared() {
+        clear_key_table();
+        check_verdict_table("cold");
+        check_rfc_vectors("cold");
+        assert!(key_table_len() > 0);
+        check_verdict_table("warm");
+        check_rfc_vectors("warm");
+        clear_key_table();
+        check_verdict_table("cleared");
+        check_rfc_vectors("cleared");
+    }
+
+    /// A key that fails to decompress is never inserted: every
+    /// `from_bytes` and `verify` of it pays one full decompression again.
+    #[test]
+    fn invalid_key_is_never_cached() {
+        clear_key_table();
+        // A canonical `y` whose `x²` candidate is not a square, so the
+        // rejection comes after the square root, not at the cheap checks.
+        let bad = (2u8..)
+            .map(|y| {
+                let mut bytes = [0u8; 32];
+                bytes[0] = y;
+                bytes
+            })
+            .find(|bytes| EdwardsPoint::decompress(bytes).is_none())
+            .unwrap();
+        let (_, full) = field::count_field_ops(|| EdwardsPoint::decompress(&bad));
+        assert!(full > 250, "{full} field ops to reject");
+        let sig = Signature::from_bytes(&[0; 64]);
+        for pass in 0..2 {
+            let (result, ops) = field::count_field_ops(|| VerifyingKey::from_bytes(&bad));
+            assert_eq!(result, Err(SignatureError::InvalidPublicKey));
+            assert_eq!(ops, full, "pass {pass}: from_bytes");
+            let key = VerifyingKey { compressed: bad };
+            let (result, ops) = field::count_field_ops(|| key.verify(b"", &sig));
+            assert_eq!(result, Err(SignatureError::InvalidPublicKey));
+            assert_eq!(ops, full, "pass {pass}: verify");
+        }
+        assert_eq!(key_table_len(), 0);
+    }
+
+    /// Twice the capacity in distinct keys, with the verdict table run
+    /// across the point where the table fills and is cleared.
+    #[test]
+    fn overflowing_the_key_table_keeps_every_verdict() {
+        clear_key_table();
+        let mut valid = 0;
+        for y in 2u16.. {
+            let mut bytes = [0u8; 32];
+            bytes[..2].copy_from_slice(&y.to_le_bytes());
+            if VerifyingKey::from_bytes(&bytes).is_ok() {
+                valid += 1;
+            }
+            assert!(key_table_len() <= KEY_TABLE_CAPACITY);
+            if valid == KEY_TABLE_CAPACITY - 3 {
+                check_verdict_table("filling");
+                check_rfc_vectors("filling");
+                assert!(key_table_len() < KEY_TABLE_CAPACITY - 3, "never cleared");
+            }
+            if valid == 2 * KEY_TABLE_CAPACITY {
+                break;
+            }
+        }
+        check_verdict_table("overflowed");
+        check_rfc_vectors("overflowed");
     }
 
     proptest! {
@@ -581,31 +759,44 @@ mod tests {
     }
 
     /// Field multiplications and squarings in one `verify` of RFC 8032
-    /// TEST 1 (two decompressions plus the equation check).
+    /// TEST 1, with `A` not yet in the key table (cold) and already in it
+    /// (warm), and in a warm `from_bytes` of the same key.
     ///
     /// The bit-at-a-time double-and-add implementation that the wNAF path
     /// replaced counted 8 050 on the same input: two full scalar
-    /// multiplications plus square-and-multiply exponentiations. The
-    /// Straus/wNAF pass with addition-chain square roots counts 3 247
-    /// (0.40×). The test pins the exact count and the bound of at most
-    /// 0.45× the old figure, so the gain holds on any host however noisy.
+    /// multiplications plus square-and-multiply exponentiations. A cold
+    /// Straus/wNAF verify with addition-chain square roots counts 3 247
+    /// (0.40×): two decompressions, the table for `−A` and the equation
+    /// check. A warm verify skips `A`'s decompression and table build, and
+    /// a warm `from_bytes` does no field arithmetic at all. The test pins
+    /// the exact counts, so a decompression added back on the decode or
+    /// verify path fails on any host however noisy.
     #[test]
     fn verify_field_op_count() {
         const DOUBLE_AND_ADD_FIELD_OPS: u64 = 8_050;
-        const VERIFY_FIELD_OPS: u64 = 3_247;
-        let key = VerifyingKey::from_bytes(&hex::decode_array::<32>(RFC1_A).unwrap()).unwrap();
+        const COLD_VERIFY_FIELD_OPS: u64 = 3_247;
+        const WARM_VERIFY_FIELD_OPS: u64 = 2_901;
+        let a_bytes = hex::decode_array::<32>(RFC1_A).unwrap();
+        let key = VerifyingKey::from_bytes(&a_bytes).unwrap();
         let sig = hex::decode_array::<64>(&format!("{RFC1_R}{RFC1_S}")).unwrap();
         let sig = Signature::from_bytes(&sig);
-        // Build the base-point table outside the counted call.
+        // Build the base-point table outside the counted calls.
         key.verify(b"", &sig).unwrap();
+        clear_key_table();
 
-        let (result, ops) = field::count_field_ops(|| key.verify(b"", &sig));
+        let (result, cold) = field::count_field_ops(|| key.verify(b"", &sig));
         result.unwrap();
+        let (result, warm) = field::count_field_ops(|| key.verify(b"", &sig));
+        result.unwrap();
+        let (result, decode) = field::count_field_ops(|| VerifyingKey::from_bytes(&a_bytes));
+        assert_eq!(result, Ok(key));
         assert!(
-            ops * 100 <= DOUBLE_AND_ADD_FIELD_OPS * 45,
-            "{ops} field ops per verify"
+            cold * 100 <= DOUBLE_AND_ADD_FIELD_OPS * 45,
+            "{cold} field ops per verify"
         );
-        assert_eq!(ops, VERIFY_FIELD_OPS);
+        assert_eq!(cold, COLD_VERIFY_FIELD_OPS);
+        assert_eq!(warm, WARM_VERIFY_FIELD_OPS);
+        assert_eq!(decode, 0);
     }
 
     #[test]

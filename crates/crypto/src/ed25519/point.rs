@@ -2,11 +2,11 @@
 //! coordinates `(X : Y : Z : T)` with `x = X/Z`, `y = Y/Z`, `xy = T/Z`.
 //!
 //! Scalar multiplication uses width-`w` non-adjacent forms (wNAF): a
-//! per-call table of 8 odd multiples for a variable point (`w = 5`) and a
-//! table of 64 odd multiples of `B` built once (`w = 8`). `[a]P + [b]B`
-//! shares one doubling chain between both scalars (Straus interleaving).
-//! Which table entries are read depends on the scalar's digits, so every
-//! path here is variable-time.
+//! caller-built [`VarTable`] of 8 odd multiples for a variable point
+//! (`w = 5`) and a table of 64 odd multiples of `B` built once (`w = 8`).
+//! `[a]P + [b]B` shares one doubling chain between both scalars (Straus
+//! interleaving). Which table entries are read depends on the scalar's
+//! digits, so every path here is variable-time.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -53,6 +53,10 @@ const BY_BYTES: [u8; 32] = [
     0x58, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66,
     0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66,
 ];
+
+/// `[P, 3P, 5P, …, 15P]`: the odd multiples of a variable point `P` that
+/// its width-5 digits index, from [`EdwardsPoint::var_table`].
+pub(crate) type VarTable = [EdwardsPoint; VAR_TABLE];
 
 /// A point on edwards25519.
 #[derive(Clone, Copy)]
@@ -175,15 +179,25 @@ impl EdwardsPoint {
         straus(&[(&naf(&reduced, BASE_WIDTH), basepoint_table())])
     }
 
-    /// `[a]P + [b]B` in one Straus pass over both scalars' wNAF digits.
+    /// The odd multiples of `self` that
+    /// [`EdwardsPoint::double_scalar_mul_base`] takes for `P`.
+    pub(crate) fn var_table(&self) -> VarTable {
+        odd_multiples(self)
+    }
+
+    /// `[a]P + [b]B` in one Straus pass over both scalars' wNAF digits,
+    /// given `P`'s [`VarTable`].
     ///
     /// `a` multiplies `P` as an integer, so a point with a small-order
     /// component gets exactly `[a]P`, the same as double-and-add. Both
     /// scalars must be below 2^255, which every reduced [`Scalar`] is.
-    pub(crate) fn double_scalar_mul_base(a: &Scalar, p: &EdwardsPoint, b: &Scalar) -> EdwardsPoint {
-        let p_table: [EdwardsPoint; VAR_TABLE] = odd_multiples(p);
+    pub(crate) fn double_scalar_mul_base(
+        a: &Scalar,
+        p_table: &VarTable,
+        b: &Scalar,
+    ) -> EdwardsPoint {
         straus(&[
-            (&naf(a, VAR_WIDTH), &p_table),
+            (&naf(a, VAR_WIDTH), p_table),
             (&naf(b, BASE_WIDTH), basepoint_table()),
         ])
     }
@@ -584,11 +598,12 @@ mod tests {
     #[test]
     fn double_scalar_mul_base_matches_oracle_on_edge_scalars() {
         let p = point_from(&[0x42; 32]);
+        let p_table = p.var_table();
         for a in edge_scalars() {
             for b in edge_scalars() {
                 let (a, b) = (raw_scalar(&a), raw_scalar(&b));
                 assert_eq!(
-                    EdwardsPoint::double_scalar_mul_base(&a, &p, &b),
+                    EdwardsPoint::double_scalar_mul_base(&a, &p_table, &b),
                     double_scalar_oracle(&a, &p, &b),
                     "a={a:?} b={b:?}"
                 );
@@ -626,7 +641,7 @@ mod tests {
             let p = point_from(&point);
             let (a, b) = (Scalar::from_bytes_wide(&a), Scalar::from_bytes_wide(&b));
             prop_assert_eq!(
-                EdwardsPoint::double_scalar_mul_base(&a, &p, &b),
+                EdwardsPoint::double_scalar_mul_base(&a, &p.var_table(), &b),
                 double_scalar_oracle(&a, &p, &b)
             );
         }

@@ -28,6 +28,11 @@
 //! secret nonce and the secret scalar, so which entries are read, and
 //! how many additions run, depend on secret data.
 //!
+//! [`VerifyingKey`] memoises validated public keys in a thread-local
+//! table bounded by a constant (1 024 keys, cleared when full). It is
+//! keyed by the public key bytes only and holds nothing derived from a
+//! secret, but whether a key hits it is visible in verification timing.
+//!
 //! # Example
 //!
 //! ```
