@@ -189,7 +189,7 @@ pub fn manual_chain(
     tip: u64,
     entries_per_block: usize,
 ) -> (seldel_chain::Blockchain, ChainConfig) {
-    use seldel_chain::{Block, BlockBody, Seal};
+    use seldel_chain::{Block, BlockBody};
 
     let key = workload_key();
     let registry = seldel_core::DeletionRegistry::new();
@@ -217,7 +217,6 @@ pub fn manual_chain(
                     Timestamp(next.value() * 10),
                     prev,
                     BlockBody::Normal { entries },
-                    Seal::Deterministic,
                 ))
                 .expect("normal blocks link");
         }

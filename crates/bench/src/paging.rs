@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use seldel_chain::testutil::ScratchDir;
 use seldel_chain::{
-    Block, BlockBody, BlockNumber, BlockStore, Blockchain, EntryId, EntryNumber, FileStore, Seal,
+    Block, BlockBody, BlockNumber, BlockStore, Blockchain, EntryId, EntryNumber, FileStore,
     Timestamp,
 };
 
@@ -105,7 +105,6 @@ pub fn measure_paged(cache_blocks: usize, blocks: u64, payload_bytes: usize) -> 
                 BlockBody::Normal {
                     entries: vec![workload_entry(&key, b, payload_bytes)],
                 },
-                Seal::Deterministic,
             ))
             .expect("workload blocks link");
     }

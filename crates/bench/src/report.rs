@@ -236,7 +236,7 @@ pub struct BackendSample {
 }
 
 impl BackendSample {
-    /// Seal throughput in blocks per second.
+    /// Sealing throughput in blocks per second.
     pub fn seal_blocks_per_s(&self) -> f64 {
         if self.seal_ns <= 0.0 {
             return f64::INFINITY;

@@ -8,7 +8,7 @@
 
 use seldel_codec::DataRecord;
 
-use crate::block::{Block, BlockBody, Seal};
+use crate::block::{Block, BlockBody};
 use crate::chain::Blockchain;
 use crate::entry::Entry;
 use crate::error::ChainError;
@@ -47,7 +47,6 @@ impl BaselineChain {
             timestamp,
             prev,
             BlockBody::Normal { entries },
-            Seal::Deterministic,
         ))?;
         Ok(number)
     }

@@ -9,11 +9,19 @@
 //!   consists "of deterministic information only", carries the same
 //!   timestamp τ as its predecessor, and is created locally by every node.
 //! * **Empty** — idle filler blocks (§IV-D3) bounding deletion latency.
+//!
+//! The paper's concept is independent of the consensus algorithm, and
+//! here that independence is structural: a block carries no consensus
+//! seal. Every node derives Σ locally and the anchor cluster pins the
+//! sealing leader, so nothing in a block records who sealed it or how.
+//! The canonical header ends in a reserved seal byte that is always `0`:
+//! it is part of on-disk format v3, so dropping it would change every
+//! block hash and stored frame.
 
 use std::fmt;
 
 use seldel_codec::{decode_seq, encode_seq, Codec, DecodeError, Decoder, Encoder};
-use seldel_crypto::{Digest32, MerkleTree, Signature, VerifyingKey};
+use seldel_crypto::{Digest32, MerkleTree};
 
 use crate::entry::Entry;
 use crate::summary::{Anchor, SummaryRecord};
@@ -92,70 +100,19 @@ impl Codec for BlockKind {
     }
 }
 
-/// The consensus seal of a block.
-///
-/// The selective-deletion concept is independent of the consensus algorithm
-/// (§IV-A); the seal variant reflects whichever engine sealed the block.
-/// Summary blocks always carry [`Seal::Deterministic`] — the paper drops the
-/// nonce for summarised content ("the nonce and previous hash of a block
-/// are not needed anymore") and the block must be derivable by every node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Seal {
-    /// No seal: deterministic blocks (genesis, summary, empty filler).
-    Deterministic,
-    /// Proof-of-work nonce.
-    Nonce(u64),
-    /// Proof-of-authority signature over the pre-seal header hash.
-    Authority {
-        /// The sealing authority.
-        signer: VerifyingKey,
-        /// Signature over the pre-seal header digest.
-        signature: Signature,
-    },
-}
-
-impl Codec for Seal {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            Seal::Deterministic => enc.put_u8(0),
-            Seal::Nonce(n) => {
-                enc.put_u8(1);
-                enc.put_u64(*n);
-            }
-            Seal::Authority { signer, signature } => {
-                enc.put_u8(2);
-                enc.put_raw(signer.as_bytes());
-                enc.put_raw(&signature.to_bytes());
-            }
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.take_u8()? {
-            0 => Ok(Seal::Deterministic),
-            1 => Ok(Seal::Nonce(dec.take_u64()?)),
-            2 => {
-                let key_bytes: [u8; 32] = dec.take_array()?;
-                let signer =
-                    VerifyingKey::from_bytes(&key_bytes).map_err(|_| DecodeError::InvalidTag {
-                        what: "Seal.signer",
-                        tag: key_bytes[0],
-                    })?;
-                let sig_bytes: [u8; 64] = dec.take_array()?;
-                Ok(Seal::Authority {
-                    signer,
-                    signature: Signature::from_bytes(&sig_bytes),
-                })
-            }
-            tag => Err(DecodeError::InvalidTag { what: "Seal", tag }),
-        }
-    }
-}
+/// The header's reserved last byte (see the module docs): always `0`, and
+/// decoding rejects any other value.
+const SEAL_BYTE: u8 = 0;
 
 /// A block header.
 ///
 /// The paper's console format (§V): "block number; timestamp; previous
 /// block hash; own block hash; optional data entry". The "own block hash"
 /// is derived, not stored: [`BlockHeader::hash`].
+///
+/// Canonical layout (82 bytes): `u64 number · u64 τ · [32] prev_hash ·
+/// [32] payload_hash · u8 kind · u8 seal`, where the seal byte is reserved
+/// and always `0`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockHeader {
     /// Block number α.
@@ -169,8 +126,6 @@ pub struct BlockHeader {
     pub payload_hash: Digest32,
     /// Block kind.
     pub kind: BlockKind,
-    /// Consensus seal.
-    pub seal: Seal,
 }
 
 impl BlockHeader {
@@ -181,16 +136,6 @@ impl BlockHeader {
         self.encode(&mut enc);
         seldel_crypto::sha256(enc.into_bytes())
     }
-
-    /// The pre-seal digest an authority signs: the header with the seal
-    /// field fixed to [`Seal::Deterministic`].
-    pub fn preseal_digest(&self) -> Digest32 {
-        let unsealed = BlockHeader {
-            seal: Seal::Deterministic,
-            ..self.clone()
-        };
-        unsealed.hash()
-    }
 }
 
 impl Codec for BlockHeader {
@@ -200,17 +145,23 @@ impl Codec for BlockHeader {
         enc.put_raw(self.prev_hash.as_bytes());
         enc.put_raw(self.payload_hash.as_bytes());
         self.kind.encode(enc);
-        self.seal.encode(enc);
+        enc.put_u8(SEAL_BYTE);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(BlockHeader {
+        let header = BlockHeader {
             number: BlockNumber::decode(dec)?,
             timestamp: Timestamp::decode(dec)?,
             prev_hash: Digest32::from_bytes(dec.take_array()?),
             payload_hash: Digest32::from_bytes(dec.take_array()?),
             kind: BlockKind::decode(dec)?,
-            seal: Seal::decode(dec)?,
-        })
+        };
+        match dec.take_u8()? {
+            SEAL_BYTE => Ok(header),
+            tag => Err(DecodeError::InvalidTag {
+                what: "BlockHeader.seal",
+                tag,
+            }),
+        }
     }
 }
 
@@ -397,7 +348,6 @@ impl Block {
         timestamp: Timestamp,
         prev_hash: Digest32,
         body: BlockBody,
-        seal: Seal,
     ) -> Block {
         let header = BlockHeader {
             number,
@@ -405,7 +355,6 @@ impl Block {
             prev_hash,
             payload_hash: body.payload_hash(),
             kind: body.kind(),
-            seal,
         };
         Block { header, body }
     }
@@ -417,7 +366,6 @@ impl Block {
             timestamp,
             GENESIS_PREV_HASH,
             BlockBody::Genesis { note: note.into() },
-            Seal::Deterministic,
         )
     }
 
@@ -564,7 +512,6 @@ mod tests {
             BlockBody::Normal {
                 entries: vec![sample_entry(1), sample_entry(2)],
             },
-            Seal::Deterministic,
         )
     }
 
@@ -632,7 +579,6 @@ mod tests {
                 )],
                 anchor: Some(anchor),
             },
-            Seal::Deterministic,
         );
         let decoded = Block::from_canonical_bytes(&b.to_canonical_bytes()).unwrap();
         assert_eq!(decoded, b);
@@ -649,48 +595,124 @@ mod tests {
             Timestamp(50),
             Digest32::ZERO,
             BlockBody::Empty,
-            Seal::Deterministic,
         );
         let decoded = Block::from_canonical_bytes(&b.to_canonical_bytes()).unwrap();
         assert_eq!(decoded, b);
         assert_eq!(decoded.kind(), BlockKind::Empty);
     }
 
+    /// Canonical header bytes and block hashes of one block of each kind,
+    /// pinned so any change to the header format shows up here.
     #[test]
-    fn seal_variants_round_trip() {
-        let auth = key(4);
-        let seals = [
-            Seal::Deterministic,
-            Seal::Nonce(0xdeadbeef),
-            Seal::Authority {
-                signer: auth.verifying_key(),
-                signature: auth.sign(b"header"),
+    fn golden_header_vectors() {
+        use crate::types::EntryNumber;
+        let genesis = Block::genesis("golden", Timestamp(0));
+        let empty = Block::new(
+            BlockNumber(1),
+            Timestamp(10),
+            genesis.hash(),
+            BlockBody::Empty,
+        );
+        let entry = Entry::sign_data(
+            &SigningKey::from_seed([7; 32]),
+            DataRecord::new("login").with("user", "A"),
+        );
+        let normal = Block::new(
+            BlockNumber(2),
+            Timestamp(20),
+            empty.hash(),
+            BlockBody::Normal {
+                entries: vec![entry.clone()],
             },
+        );
+        let id = EntryId::new(BlockNumber(2), EntryNumber(0));
+        let summary = Block::new(
+            BlockNumber(3),
+            Timestamp(20),
+            normal.hash(),
+            BlockBody::Summary {
+                records: vec![SummaryRecord::from_entry(&entry, id, Timestamp(20)).unwrap()],
+                deletions: vec![EntryId::new(BlockNumber(1), EntryNumber(0))],
+                anchor: Some(Anchor::new(BlockNumber(0), BlockNumber(1), empty.hash())),
+            },
+        );
+        let vectors = [
+            (
+                &genesis,
+                "00000000000000000000000000000000deadb00000000000000000000000000000000000000000000000000000000000\
+                 76c3721f7e8300528bd73f70227119b9be67062a6537fedc79417dd1cb19ff040000",
+                "e1bb8703a682c03dd00db37354d437770f7a7e96195e431de78b4492b5fedeab",
+            ),
+            (
+                &empty,
+                "01000000000000000a00000000000000e1bb8703a682c03dd00db37354d437770f7a7e96195e431de78b4492b5fedeab\
+                 550c9f013130df3401141a32d51a8b7468b618ffbda1421a25bcf0473d203df70300",
+                "a0a305fb14bd8a9b8cde3f6a2b70871e48f4c5e28f9565948d140484b424622a",
+            ),
+            (
+                &normal,
+                "02000000000000001400000000000000a0a305fb14bd8a9b8cde3f6a2b70871e48f4c5e28f9565948d140484b424622a\
+                 34cfb8bb646203b44f0bca6f65d8aa28dea3b73858c82a0f854c70297373ca8a0100",
+                "eb1b006089336cf41a8aeed0b5bceb0272400f7041a096c3ab0adab933b32a55",
+            ),
+            (
+                &summary,
+                "03000000000000001400000000000000eb1b006089336cf41a8aeed0b5bceb0272400f7041a096c3ab0adab933b32a55\
+                 f35b66fa155f5dcdd1a54c9b27845fd4794a9d1d1e348681e157533e264933930200",
+                "bdf0b80529cd90de3884c60c4eecf971199f2e908aee347117c21329f9d8d0b3",
+            ),
         ];
-        for seal in seals {
-            let decoded = Seal::from_canonical_bytes(&seal.to_canonical_bytes()).unwrap();
-            assert_eq!(decoded, seal);
+        for (block, header_hex, hash_hex) in vectors {
+            assert_eq!(
+                seldel_crypto::hex::encode(block.header().to_canonical_bytes()),
+                header_hex,
+                "{}",
+                block.kind()
+            );
+            assert_eq!(block.hash().to_hex(), hash_hex, "{}", block.kind());
+            assert_eq!(
+                Block::from_canonical_bytes(&block.to_canonical_bytes()).unwrap(),
+                *block
+            );
         }
     }
 
+    /// Headers whose reserved seal byte is not `0` — including the old
+    /// proof-of-work (`1` + nonce) and proof-of-authority (`2` + key +
+    /// signature) encodings — do not decode.
     #[test]
-    fn preseal_digest_independent_of_seal() {
-        let b1 = Block::new(
-            BlockNumber(1),
-            Timestamp(1),
+    fn nonzero_seal_byte_rejected() {
+        let block = Block::new(
+            BlockNumber(5),
+            Timestamp(50),
             Digest32::ZERO,
             BlockBody::Empty,
-            Seal::Deterministic,
         );
-        let b2 = Block::new(
-            BlockNumber(1),
-            Timestamp(1),
-            Digest32::ZERO,
-            BlockBody::Empty,
-            Seal::Nonce(7),
-        );
-        assert_eq!(b1.header().preseal_digest(), b2.header().preseal_digest());
-        assert_ne!(b1.hash(), b2.hash());
+        let bytes = block.to_canonical_bytes();
+        let (header, body) = bytes.split_at(82);
+        let (fields, seal) = header.split_at(81);
+        assert_eq!(seal, [0]);
+        let auth = key(4);
+        let authority = [
+            auth.verifying_key().as_bytes().as_slice(),
+            auth.sign(b"header").to_bytes().as_slice(),
+        ]
+        .concat();
+        let cases: [(u8, Vec<u8>); 3] = [
+            (1, 0xdead_beef_u64.to_le_bytes().to_vec()),
+            (2, authority),
+            (0xFF, Vec::new()),
+        ];
+        for (tag, payload) in cases {
+            let forged = [fields, &[tag], &payload, body].concat();
+            assert_eq!(
+                Block::from_canonical_bytes(&forged),
+                Err(DecodeError::InvalidTag {
+                    what: "BlockHeader.seal",
+                    tag
+                })
+            );
+        }
     }
 
     #[test]
@@ -707,7 +729,6 @@ mod tests {
                 deletions: vec![],
                 anchor: None,
             },
-            Seal::Deterministic,
         );
         assert!(s.to_string().starts_with("S3; 20; "), "{s}");
     }
@@ -798,7 +819,6 @@ mod tests {
                 ],
                 anchor: None,
             },
-            Seal::Deterministic,
         );
         assert!(sorted.tombstones_sorted());
         let unsorted = Block::new(
@@ -813,7 +833,6 @@ mod tests {
                 ],
                 anchor: None,
             },
-            Seal::Deterministic,
         );
         assert!(!unsorted.tombstones_sorted());
         // Duplicates violate *strict* sortedness too.
@@ -829,7 +848,6 @@ mod tests {
                 ],
                 anchor: None,
             },
-            Seal::Deterministic,
         );
         assert!(!duplicated.tombstones_sorted());
         // Non-summary blocks trivially satisfy the invariant.

@@ -349,7 +349,7 @@ impl<S: BlockStore> Blockchain<S> {
     ///   strictly sorted.
     pub fn push(&mut self, block: Block) -> Result<(), ChainError> {
         let _span = seldel_telemetry::span!("chain.seal");
-        // Seal first: the linkage check then compares the cached payload
+        // Hash first: the linkage check then compares the cached payload
         // root against the header commitment, and the root stays cached in
         // the store for every later validation pass.
         let sealed = SealedBlock::seal(block);
@@ -698,7 +698,7 @@ impl<S: BlockStore> Blockchain<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{BlockBody, Seal};
+    use crate::block::BlockBody;
     use crate::fstore::FileStore;
     use crate::store::SegStore;
     use crate::types::Timestamp;
@@ -724,7 +724,6 @@ mod tests {
                     BlockBody::Normal {
                         entries: vec![entry("ALPHA", 1), entry("BRAVO", 2)],
                     },
-                    Seal::Deterministic,
                 ))
                 .unwrap();
         }
@@ -755,13 +754,7 @@ mod tests {
     fn push_rejects_bad_number() {
         let mut chain = chain_with_blocks(1);
         let prev = chain.tip_hash();
-        let block = Block::new(
-            BlockNumber(5),
-            Timestamp(100),
-            prev,
-            BlockBody::Empty,
-            Seal::Deterministic,
-        );
+        let block = Block::new(BlockNumber(5), Timestamp(100), prev, BlockBody::Empty);
         assert!(matches!(
             chain.push(block),
             Err(ChainError::NonContiguousNumber { .. })
@@ -776,7 +769,6 @@ mod tests {
             Timestamp(100),
             seldel_crypto::sha256(b"wrong"),
             BlockBody::Empty,
-            Seal::Deterministic,
         );
         assert!(matches!(
             chain.push(block),
@@ -793,7 +785,6 @@ mod tests {
             Timestamp(5), // earlier than block 2's 20
             prev,
             BlockBody::Empty,
-            Seal::Deterministic,
         );
         assert!(matches!(
             chain.push(block),
@@ -815,7 +806,6 @@ mod tests {
                 deletions: vec![],
                 anchor: None,
             },
-            Seal::Deterministic,
         );
         assert!(matches!(
             chain.push(bad),
@@ -831,7 +821,6 @@ mod tests {
                 deletions: vec![],
                 anchor: None,
             },
-            Seal::Deterministic,
         );
         chain.push(good).unwrap();
     }
@@ -850,7 +839,6 @@ mod tests {
                 }
                 .payload_hash(),
                 kind: BlockKind::Genesis,
-                seal: Seal::Deterministic,
             },
             BlockBody::Genesis {
                 note: "again".into(),
@@ -913,7 +901,6 @@ mod tests {
                     deletions: vec![],
                     anchor: None,
                 },
-                Seal::Deterministic,
             ))
             .unwrap();
         chain.truncate_front(BlockNumber(2)).unwrap();
@@ -992,7 +979,6 @@ mod tests {
                 BlockBody::Normal {
                     entries: vec![entry("CHARLIE", 3)],
                 },
-                Seal::Deterministic,
             ))
             .unwrap();
         assert_eq!(chain.entry_index(), &chain.rebuilt_index());

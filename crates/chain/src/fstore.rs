@@ -1669,7 +1669,7 @@ impl ExactSizeIterator for FileIter<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{BlockBody, Seal};
+    use crate::block::BlockBody;
     use crate::store::MemStore;
     use crate::testutil::ScratchDir as Scratch;
     use crate::types::{BlockNumber, Timestamp};
@@ -1680,7 +1680,6 @@ mod tests {
             Timestamp(n * 10),
             seldel_crypto::sha256(n.to_le_bytes()),
             BlockBody::Empty,
-            Seal::Deterministic,
         ))
     }
 

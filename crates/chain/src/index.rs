@@ -150,7 +150,7 @@ pub fn block_index_pairs(block: &Block) -> Vec<(EntryId, Location)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{BlockBody, Seal};
+    use crate::block::BlockBody;
     use crate::entry::{DeleteRequest, Entry};
     use crate::summary::SummaryRecord;
     use crate::types::{EntryNumber, Timestamp};
@@ -171,7 +171,6 @@ mod tests {
             Timestamp(number * 10),
             seldel_crypto::Digest32::ZERO,
             BlockBody::Normal { entries },
-            Seal::Deterministic,
         )
     }
 
@@ -185,7 +184,6 @@ mod tests {
                 deletions: vec![],
                 anchor: None,
             },
-            Seal::Deterministic,
         )
     }
 

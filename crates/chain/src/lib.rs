@@ -62,7 +62,7 @@ pub mod types;
 pub mod validate;
 
 pub use baseline::BaselineChain;
-pub use block::{Block, BlockBody, BlockHeader, BlockKind, Seal, GENESIS_PREV_HASH};
+pub use block::{Block, BlockBody, BlockHeader, BlockKind, GENESIS_PREV_HASH};
 pub use chain::{Blockchain, Located};
 pub use entry::{CoSignature, DeleteRequest, Entry, EntryPayload};
 pub use error::ChainError;

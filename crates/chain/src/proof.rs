@@ -577,7 +577,7 @@ fn decode_prefixed<T: Codec>(leaf: &[u8], prefix: u8) -> Option<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{Block, BlockBody, Seal};
+    use crate::block::{Block, BlockBody};
     use crate::entry::DeleteRequest;
     use crate::types::{EntryNumber, Timestamp};
     use seldel_codec::DataRecord;
@@ -609,7 +609,6 @@ mod tests {
                     Timestamp(b * 10),
                     prev,
                     BlockBody::Normal { entries },
-                    Seal::Deterministic,
                 ))
                 .unwrap();
         }
@@ -626,7 +625,6 @@ mod tests {
                         DeleteRequest::new(target, "gdpr"),
                     )],
                 },
-                Seal::Deterministic,
             ))
             .unwrap();
         let carried = EntryId::new(BlockNumber(1), EntryNumber(1));
@@ -648,7 +646,6 @@ mod tests {
                     deletions: vec![target],
                     anchor: None,
                 },
-                Seal::Deterministic,
             ))
             .unwrap();
         chain
@@ -712,7 +709,6 @@ mod tests {
                 BlockBody::Normal {
                     entries: vec![Entry::sign_delete(&key(9), DeleteRequest::new(target, ""))],
                 },
-                Seal::Deterministic,
             ))
             .unwrap();
         let proof = prove_deleted(&chain, target).unwrap();

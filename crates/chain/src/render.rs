@@ -138,7 +138,6 @@ pub fn render_chain<S: crate::store::BlockStore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::Seal;
     use crate::entry::{DeleteRequest, Entry};
     use crate::types::{BlockNumber, EntryId, EntryNumber, Expiry, Timestamp};
     use seldel_codec::DataRecord;
@@ -178,7 +177,6 @@ mod tests {
                 Timestamp(10),
                 prev,
                 crate::block::BlockBody::Normal { entries },
-                Seal::Deterministic,
             ))
             .unwrap();
         let prev = chain.tip().hash();
@@ -192,7 +190,6 @@ mod tests {
                     deletions: vec![],
                     anchor: None,
                 },
-                Seal::Deterministic,
             ))
             .unwrap();
         chain

@@ -455,7 +455,7 @@ impl ShardedMempool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{BlockBody, Seal};
+    use crate::block::BlockBody;
     use crate::summary::SummaryRecord;
     use crate::types::{EntryNumber, Timestamp};
     use seldel_codec::DataRecord;
@@ -475,7 +475,6 @@ mod tests {
             Timestamp(number * 10),
             seldel_crypto::Digest32::ZERO,
             BlockBody::Normal { entries },
-            Seal::Deterministic,
         )
     }
 
@@ -489,7 +488,6 @@ mod tests {
                 deletions: vec![],
                 anchor: None,
             },
-            Seal::Deterministic,
         )
     }
 

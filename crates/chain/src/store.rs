@@ -544,7 +544,7 @@ impl ExactSizeIterator for SegIter<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{BlockBody, Seal};
+    use crate::block::BlockBody;
     use crate::types::{BlockNumber, Timestamp};
 
     fn sealed(n: u64) -> SealedBlock {
@@ -553,7 +553,6 @@ mod tests {
             Timestamp(n * 10),
             seldel_crypto::sha256(n.to_le_bytes()),
             BlockBody::Empty,
-            Seal::Deterministic,
         ))
     }
 

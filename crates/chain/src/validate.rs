@@ -307,7 +307,7 @@ pub fn build_anchor<S: BlockStore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{Block, BlockBody, Seal};
+    use crate::block::{Block, BlockBody};
     use crate::entry::Entry;
     use crate::types::{EntryId, EntryNumber, Timestamp};
     use seldel_codec::DataRecord;
@@ -326,7 +326,6 @@ mod tests {
                     BlockBody::Normal {
                         entries: vec![Entry::sign_data(&key, DataRecord::new("x").with("n", i))],
                     },
-                    Seal::Deterministic,
                 ))
                 .unwrap();
         }
@@ -386,7 +385,6 @@ mod tests {
                 deletions: vec![],
                 anchor: Some(anchor),
             },
-            Seal::Deterministic,
         ))
         .unwrap();
         let report = validate_chain(&c, &ValidationOptions::default()).unwrap();
@@ -478,7 +476,6 @@ mod tests {
                 ],
                 anchor: None,
             },
-            Seal::Deterministic,
         );
         let mut store: crate::store::MemStore = c.store().clone();
         store.push(crate::store::SealedBlock::seal(rogue));
@@ -505,7 +502,6 @@ mod tests {
                 deletions: vec![],
                 anchor: Some(anchor),
             },
-            Seal::Deterministic,
         ))
         .unwrap();
         assert!(matches!(

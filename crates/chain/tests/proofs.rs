@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use seldel_chain::proof::{prove_deleted, prove_live, verify_proof, EntryProof, HeaderChain};
 use seldel_chain::{
-    Block, BlockBody, BlockNumber, Blockchain, DeleteRequest, Entry, EntryId, EntryNumber, Seal,
+    Block, BlockBody, BlockNumber, Blockchain, DeleteRequest, Entry, EntryId, EntryNumber,
     SummaryRecord, Timestamp,
 };
 use seldel_codec::{Codec, DataRecord};
@@ -55,7 +55,6 @@ fn build_deletion_chain(blocks: u64, entries_per_block: u8, cut: u64) -> Blockch
                     deletions,
                     anchor: None,
                 },
-                Seal::Deterministic,
             )
         } else {
             let mut entries: Vec<Entry> = (0..entries_per_block)
@@ -79,7 +78,6 @@ fn build_deletion_chain(blocks: u64, entries_per_block: u8, cut: u64) -> Blockch
                 Timestamp(b * 10),
                 prev,
                 BlockBody::Normal { entries },
-                Seal::Deterministic,
             )
         };
         chain.push(block).expect("valid link");

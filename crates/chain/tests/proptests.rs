@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use seldel_chain::{
-    validate_chain, Block, BlockBody, BlockNumber, Blockchain, Entry, EntryId, EntryNumber, Seal,
+    validate_chain, Block, BlockBody, BlockNumber, Blockchain, Entry, EntryId, EntryNumber,
     SummaryRecord, Timestamp, ValidationOptions,
 };
 use seldel_codec::{Codec, DataRecord};
@@ -23,7 +23,6 @@ fn build_chain(block_count: u64, entries_per_block: u8) -> Blockchain {
                 Timestamp(b * 10),
                 prev,
                 BlockBody::Normal { entries },
-                Seal::Deterministic,
             ))
             .expect("valid link");
     }
@@ -65,7 +64,6 @@ fn build_mixed_chain(block_count: u64) -> Blockchain {
                     deletions,
                     anchor: None,
                 },
-                Seal::Deterministic,
             )
         } else {
             let entries: Vec<Entry> = (0..2)
@@ -78,7 +76,6 @@ fn build_mixed_chain(block_count: u64) -> Blockchain {
                 Timestamp(b * 10),
                 prev,
                 BlockBody::Normal { entries },
-                Seal::Deterministic,
             )
         };
         chain.push(block).expect("valid link");
@@ -320,7 +317,6 @@ proptest! {
             original.timestamp() + 1,
             original.header().prev_hash,
             original.body().clone(),
-            Seal::Deterministic,
         );
         exported[idx] = tampered;
         let outcome = Blockchain::from_blocks(exported);
@@ -376,7 +372,6 @@ proptest! {
                         Timestamp(next * 10),
                         seldel_crypto::sha256(next.to_le_bytes()),
                         BlockBody::Normal { entries },
-                        Seal::Deterministic,
                     ));
                     next += 1;
                     oracle.push(block.clone());

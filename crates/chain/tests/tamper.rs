@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use seldel_chain::testutil::ScratchDir;
 use seldel_chain::{
     validate_store_incremental, Block, BlockBody, BlockNumber, BlockStore, Blockchain, ChainError,
-    DeleteRequest, Entry, EntryId, EntryNumber, FileStore, Seal, SummaryRecord, Timestamp,
+    DeleteRequest, Entry, EntryId, EntryNumber, FileStore, SummaryRecord, Timestamp,
 };
 use seldel_codec::{Codec, DataRecord};
 use seldel_crypto::{Digest32, SigningKey};
@@ -57,7 +57,6 @@ fn build_durable_chain(dir: &Path, blocks: u64) -> (BlockNumber, Digest32) {
                     deletions,
                     anchor: None,
                 },
-                Seal::Deterministic,
             )
         } else {
             let mut entries = vec![
@@ -75,7 +74,6 @@ fn build_durable_chain(dir: &Path, blocks: u64) -> (BlockNumber, Digest32) {
                 Timestamp(b * 10),
                 prev,
                 BlockBody::Normal { entries },
-                Seal::Deterministic,
             )
         };
         chain.push(block).expect("valid link");

@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use seldel_chain::{
     Block, BlockBody, BlockKind, BlockNumber, BlockStore, Blockchain, DeleteRequest, Entry,
-    EntryId, EntryNumber, EntryPayload, Located, MemStore, Seal, ShardedMempool, Timestamp,
+    EntryId, EntryNumber, EntryPayload, Located, MemStore, ShardedMempool, Timestamp,
     DEFAULT_SHARD_COUNT,
 };
 use seldel_codec::schema::SchemaRegistry;
@@ -511,7 +511,7 @@ impl<S: BlockStore> SelectiveLedger<S> {
             BlockBody::Normal { entries }
         };
         let prev = self.chain.tip_hash();
-        let block = Block::new(number, now, prev, body, Seal::Deterministic);
+        let block = Block::new(number, now, prev, body);
         self.chain.push(block)?;
         self.blocks_appended += 1;
         let sealed_entries = self.chain.tip().entries().len();
@@ -567,7 +567,7 @@ impl<S: BlockStore> SelectiveLedger<S> {
             let ts = self.chain.tip().timestamp() + policy.max_idle_ms;
             let number = self.chain.tip().number().next();
             let prev = self.chain.tip_hash();
-            let block = Block::new(number, ts, prev, BlockBody::Empty, Seal::Deterministic);
+            let block = Block::new(number, ts, prev, BlockBody::Empty);
             self.chain.push(block).expect("filler blocks always link");
             self.blocks_appended += 1;
             self.events
@@ -1549,7 +1549,6 @@ mod tests {
             blocks[1].timestamp() + 1,
             blocks[1].header().prev_hash,
             blocks[1].body().clone(),
-            Seal::Deterministic,
         );
         assert!(joiner.adopt_chain(blocks).is_err());
         // Ledger unchanged on failure.

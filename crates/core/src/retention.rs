@@ -142,7 +142,7 @@ pub fn plan_retirement<S: BlockStore>(
 mod tests {
     use super::*;
     use crate::config::RetentionPolicy;
-    use seldel_chain::{Block, BlockBody, Seal, Timestamp};
+    use seldel_chain::{Block, BlockBody, Timestamp};
 
     /// Chain with l = 3 summaries (slots 2, 5, 8, …), `n` blocks total.
     fn chain_l3(n: u64) -> Blockchain {
@@ -165,13 +165,7 @@ mod tests {
                 BlockBody::Empty
             };
             chain
-                .push(Block::new(
-                    BlockNumber(i),
-                    ts,
-                    prev,
-                    body,
-                    Seal::Deterministic,
-                ))
+                .push(Block::new(BlockNumber(i), ts, prev, body))
                 .unwrap();
         }
         chain

@@ -100,7 +100,7 @@ pub fn middle_sequence<S: BlockStore>(chain: &Blockchain<S>) -> Option<SequenceS
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seldel_chain::{Block, BlockBody, Seal, Timestamp};
+    use seldel_chain::{Block, BlockBody, Timestamp};
 
     /// Builds a chain with summary blocks at every 3rd slot (l = 3):
     /// numbers 2, 5, 8, … up to `n` blocks total.
@@ -124,13 +124,7 @@ mod tests {
                 BlockBody::Empty
             };
             chain
-                .push(Block::new(
-                    BlockNumber(i),
-                    ts,
-                    prev,
-                    body,
-                    Seal::Deterministic,
-                ))
+                .push(Block::new(BlockNumber(i), ts, prev, body))
                 .unwrap();
         }
         chain

@@ -8,7 +8,7 @@
 //! compares.
 
 use seldel_chain::{
-    Block, BlockBody, BlockKind, BlockNumber, BlockStore, EntryId, EntryNumber, Seal, SummaryRecord,
+    Block, BlockBody, BlockKind, BlockNumber, BlockStore, EntryId, EntryNumber, SummaryRecord,
 };
 
 use crate::config::{AnchorPolicy, ChainConfig};
@@ -174,7 +174,6 @@ pub fn build_summary_block<S: BlockStore>(
             deletions: tombstones,
             anchor,
         },
-        Seal::Deterministic,
     );
     (block, outcome)
 }
@@ -235,7 +234,6 @@ mod tests {
                                 data_entry(2, next.value() * 10 + 1),
                             ],
                         },
-                        Seal::Deterministic,
                     ))
                     .unwrap();
             }
@@ -338,7 +336,6 @@ mod tests {
                         ),
                     ],
                 },
-                Seal::Deterministic,
             ))
             .unwrap();
         // Fill to block 7 with empties + summaries.
@@ -355,7 +352,6 @@ mod tests {
                         Timestamp(next.value() * 10),
                         prev,
                         BlockBody::Empty,
-                        Seal::Deterministic,
                     ))
                     .unwrap();
             }
@@ -389,7 +385,6 @@ mod tests {
                         ),
                     ],
                 },
-                Seal::Deterministic,
             ))
             .unwrap();
         while chain.tip().number().value() < 7 {
@@ -405,7 +400,6 @@ mod tests {
                         Timestamp(next.value() * 10),
                         prev,
                         BlockBody::Empty,
-                        Seal::Deterministic,
                     ))
                     .unwrap();
             }
@@ -438,7 +432,6 @@ mod tests {
                     BlockBody::Normal {
                         entries: vec![data_entry(3, n)],
                     },
-                    Seal::Deterministic,
                 ))
                 .unwrap();
         }
@@ -460,7 +453,6 @@ mod tests {
                     Timestamp(n * 10),
                     prev,
                     BlockBody::Empty,
-                    Seal::Deterministic,
                 ))
                 .unwrap();
         }

@@ -2,8 +2,8 @@
 //!
 //! The paper's prototype is a CORBA client-server system (§V); this crate
 //! substitutes an in-process simulator that exercises the same message
-//! flows — entry submission, block propagation, quorum votes, summary-hash
-//! synchronisation checks — under **reproducible** scheduling: all latency,
+//! flows — entry submission, block propagation, summary-hash
+//! synchronisation checks, chain adoption — under **reproducible** scheduling: all latency,
 //! loss and ordering decisions come from a seeded RNG and a totally ordered
 //! event queue, so every run with the same seed is bit-identical.
 //!

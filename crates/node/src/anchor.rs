@@ -1,8 +1,8 @@
 //! Anchor nodes: the quorum members managing full chain copies (§IV-A).
 //!
 //! One anchor acts as the sealing leader (the concept is consensus-
-//! agnostic, §IV-A — leader selection would come from the configured
-//! engine/quorum; the simulation pins it for determinism). All anchors:
+//! agnostic, §IV-A — the simulation pins the leader for determinism, and
+//! no block records how it was sealed). All anchors:
 //!
 //! * apply sealed blocks from the leader,
 //! * derive summary blocks **locally** (never from the wire),
@@ -493,9 +493,13 @@ impl<S: BlockStore> SimNode<NodeMessage> for AnchorNode<S> {
                 let plan = self.ledger.plan_policy(&requester, &policy);
                 ctx.send(from, NodeMessage::PolicyPlanReply { plan });
             }
-            // Client-side and quorum messages are not for anchors here; the
-            // vote plumbing is exercised directly in seldel-consensus.
-            _ => {}
+            // Client-bound messages: anchors never act on them.
+            NodeMessage::StatusQuoReply(_)
+            | NodeMessage::QueryReply { .. }
+            | NodeMessage::PolicyPlanReply { .. }
+            | NodeMessage::ClientSubmit(_)
+            | NodeMessage::ClientCheckStatus
+            | NodeMessage::ClientQuery { .. } => {}
         }
     }
 

@@ -5,7 +5,6 @@
 
 use seldel_chain::{Block, BlockNumber, Entry, EntryId};
 use seldel_codec::DataRecord;
-use seldel_consensus::Ballot;
 use seldel_core::{CompiledPolicy, DeletionPlan};
 use seldel_crypto::{Digest32, VerifyingKey};
 
@@ -56,8 +55,6 @@ pub enum NodeMessage {
     StatusQuoRequest,
     /// Anchor → client: status quo reply.
     StatusQuoReply(StatusQuo),
-    /// Quorum ballot (deletion approval / marker shift / chain adoption).
-    Vote(Ballot),
     /// Client → anchor: look up a data set.
     Query {
         /// The data set id.

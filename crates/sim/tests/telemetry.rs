@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use seldel_chain::testutil::ScratchDir;
 use seldel_chain::{
-    Block, BlockBody, BlockNumber, BlockStore, Entry, FileStore, Seal, SealedBlock, Timestamp,
+    Block, BlockBody, BlockNumber, BlockStore, Entry, FileStore, SealedBlock, Timestamp,
 };
 use seldel_codec::DataRecord;
 use seldel_crypto::SigningKey;
@@ -107,7 +107,6 @@ fn sealed(n: u64, key: &SigningKey) -> SealedBlock {
         Timestamp(n * 10),
         seldel_crypto::sha256(n.to_le_bytes()),
         BlockBody::Normal { entries },
-        Seal::Deterministic,
     ))
 }
 

@@ -20,7 +20,6 @@
 //! | [`codec`] | `seldel-codec` | canonical encoding, YAML-subset schemas, console rendering |
 //! | [`chain`] | `seldel-chain` | blocks, entries, summary records, the live chain β, pluggable `BlockStore` backends + entry index |
 //! | [`core`] | `seldel-core` | the paper's contribution: [`core::SelectiveLedger`] |
-//! | [`consensus`] | `seldel-consensus` | pluggable engines, quorum votes, elections |
 //! | [`network`] | `seldel-network` | deterministic simnet with fault injection |
 //! | [`node`] | `seldel-node` | anchor/client nodes, Σ-hash sync checks |
 //! | [`sim`] | `seldel-sim` | workloads + experiments reproducing the evaluation |
@@ -55,7 +54,6 @@
 
 pub use seldel_chain as chain;
 pub use seldel_codec as codec;
-pub use seldel_consensus as consensus;
 pub use seldel_core as core;
 pub use seldel_crypto as crypto;
 pub use seldel_network as network;

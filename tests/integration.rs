@@ -1,10 +1,8 @@
 //! End-to-end integration tests across all crates: a simulated anchor
-//! cluster with clients, the full deletion workflow cluster-wide, and the
-//! consensus-engine independence claim.
+//! cluster with clients and the full deletion workflow cluster-wide.
 
 use selective_deletion::chain::{validate_chain, ValidationOptions};
 use selective_deletion::codec::DataRecord;
-use selective_deletion::consensus::{ConsensusEngine, NullEngine, ProofOfAuthority, ProofOfWork};
 use selective_deletion::crypto::SigningKey;
 use selective_deletion::network::{NetConfig, NodeId, SimNetwork};
 use selective_deletion::node::{AnchorNode, ClientNode, NodeMessage};
@@ -149,38 +147,6 @@ fn replicas_converge_after_eclipse() {
     let node = net.node_as::<AnchorNode>(anchors[3]).unwrap();
     assert!(node.stats().chains_adopted >= 1);
     assert!(node.ledger().chain().tip().number() > eclipsed_tip);
-}
-
-#[test]
-fn consensus_engines_are_interchangeable() {
-    // The paper: "any consensus algorithm can be extended by the described
-    // behavior". Seal the same draft under three engines; summary blocks
-    // stay deterministic regardless.
-    let authority = SigningKey::from_seed([0xAA; 32]);
-    let engines: Vec<Box<dyn ConsensusEngine>> = vec![
-        Box::new(NullEngine),
-        Box::new(ProofOfWork::new(8)),
-        Box::new(ProofOfAuthority::new(vec![authority.verifying_key()]).with_signer(authority)),
-    ];
-
-    let key = SigningKey::from_seed([1u8; 32]);
-    for engine in engines {
-        let mut ledger = SelectiveLedger::new(ChainConfig::paper_evaluation());
-        ledger
-            .submit_entry(Entry::sign_data(&key, DataRecord::new("x").with("n", 1u64)))
-            .unwrap();
-        ledger.seal_block(Timestamp(10)).unwrap();
-
-        // Seal the tip header under the engine and verify it.
-        let mut header = ledger.chain().tip().header().clone();
-        // Tip may be a summary block; engines must accept it untouched.
-        if header.kind == BlockKind::Summary {
-            engine.verify(&header).expect("summary blocks exempt");
-        } else {
-            header.seal = engine.seal(&header).expect("sealing works");
-            engine.verify(&header).expect("seal verifies");
-        }
-    }
 }
 
 #[test]

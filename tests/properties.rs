@@ -43,8 +43,8 @@ fn record_strategy() -> impl Strategy<Value = DataRecord> {
 enum Op {
     /// Submit a data entry as user `user % USERS`, with optional TTL.
     Submit { user: u8, ttl: Option<u8> },
-    /// Seal a block, advancing time.
-    Seal,
+    /// Seals a block, advancing time.
+    SealBlock,
     /// Request deletion of the `pick`-th previously submitted entry by its
     /// own author (always authorised; may still fail for other reasons).
     Delete { pick: u8 },
@@ -53,7 +53,7 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         3 => (any::<u8>(), proptest::option::of(1u8..20)).prop_map(|(user, ttl)| Op::Submit { user, ttl }),
-        2 => Just(Op::Seal),
+        2 => Just(Op::SealBlock),
         1 => any::<u8>().prop_map(|pick| Op::Delete { pick }),
     ]
 }
@@ -199,7 +199,7 @@ proptest! {
                     ledger.submit_entry(entry).expect("valid entries accepted");
                     pending_batch.push(Some((user, record)));
                 }
-                Op::Seal => {
+                Op::SealBlock => {
                     now += 10;
                     let number = ledger.seal_block(now).expect("monotone time");
                     for (i, slot) in pending_batch.drain(..).enumerate() {
@@ -238,7 +238,7 @@ proptest! {
             );
         }
 
-        // Seal whatever is still in the mempool (with bookkeeping), then
+        // Commit whatever is still in the mempool (with bookkeeping), then
         // flush pending deletions through enough merge cycles.
         if !pending_batch.is_empty() {
             now += 10;
@@ -343,7 +343,7 @@ proptest! {
                     mem.submit_entry(entry.clone()).expect("valid entries accepted");
                     seg.submit_entry(entry).expect("valid entries accepted");
                 }
-                Op::Seal => {
+                Op::SealBlock => {
                     now += 10;
                     mem.seal_block(now).expect("monotone time");
                     seg.seal_block(now).expect("monotone time");
@@ -503,7 +503,7 @@ proptest! {
                     mem.submit_entry(entry.clone()).expect("valid");
                     file.submit_entry(entry).expect("valid");
                 }
-                Op::Seal => {
+                Op::SealBlock => {
                     now += 10;
                     mem.seal_block(now).expect("monotone");
                     file.seal_block(now).expect("monotone");
@@ -716,7 +716,7 @@ proptest! {
                     seg.submit_entry(entry.clone()).expect("valid");
                     file.submit_entry(entry).expect("valid");
                 }
-                Op::Seal => {
+                Op::SealBlock => {
                     now += 10;
                     mem.seal_block(now).expect("monotone");
                     seg.seal_block(now).expect("monotone");
