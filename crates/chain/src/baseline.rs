@@ -41,13 +41,8 @@ impl BaselineChain {
         entries: Vec<Entry>,
     ) -> Result<BlockNumber, ChainError> {
         let number = self.chain.tip().number().next();
-        let prev = self.chain.tip().hash();
-        self.chain.push(Block::new(
-            number,
-            timestamp,
-            prev,
-            BlockBody::Normal { entries },
-        ))?;
+        self.chain
+            .push_new(timestamp, BlockBody::Normal { entries })?;
         Ok(number)
     }
 

@@ -22,14 +22,14 @@
 
 use seldel_codec::{Codec, DataRecord};
 
-use crate::block::{Block, BlockKind};
+use crate::block::{Block, BlockBody, BlockKind};
 use crate::entry::{Entry, EntryPayload};
 use crate::error::ChainError;
 use crate::index::{EntryIndex, Location};
 use crate::shard::{ShardedIndex, DEFAULT_SHARD_COUNT};
 use crate::store::{BlockRef, BlockStore, MemStore, SealedBlock};
 use crate::summary::SummaryRecord;
-use crate::types::{BlockNumber, EntryId, EntryNumber};
+use crate::types::{BlockNumber, EntryId, EntryNumber, Timestamp};
 
 /// The slot inside the holder block a located data set occupies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -333,8 +333,12 @@ impl<S: BlockStore> Blockchain<S> {
         Ok(chain)
     }
 
-    /// Appends a block after checking linkage rules. The block is hashed
-    /// exactly once here; all later reads use the cached digest.
+    /// Appends a block made elsewhere — a peer's block, a sync response,
+    /// a replayed chain — after checking linkage rules. Its payload tree
+    /// is re-derived from the body here, because the header's commitment
+    /// is a claim until then; the block is hashed exactly once, and all
+    /// later reads use the cached digests. Blocks this node builds itself
+    /// go through [`Blockchain::push_new`], which skips the re-derivation.
     ///
     /// # Errors
     ///
@@ -352,7 +356,36 @@ impl<S: BlockStore> Blockchain<S> {
         // Hash first: the linkage check then compares the cached payload
         // root against the header commitment, and the root stays cached in
         // the store for every later validation pass.
-        let sealed = SealedBlock::seal(block);
+        self.append(SealedBlock::seal(block))
+    }
+
+    /// Builds the next block from `body` and appends it — the path for
+    /// blocks this node makes itself: sealed entries, idle filler, Σ.
+    ///
+    /// The number and `prev_hash` come from the tip, and the block is
+    /// sealed with the payload root [`Block::new`] has just derived from
+    /// `body`, so the body's payload tree is built once instead of twice.
+    /// No caller can hand in a root, so none can be wrong. The bytes and
+    /// hashes are those of `push(Block::new(..))`.
+    ///
+    /// # Errors
+    ///
+    /// The rules of [`Blockchain::push`] that a caller can still break:
+    /// [`ChainError::TimestampRegression`],
+    /// [`ChainError::SummaryTimestampMismatch`],
+    /// [`ChainError::GenesisMisplaced`] and
+    /// [`ChainError::TombstonesUnsorted`].
+    pub fn push_new(&mut self, timestamp: Timestamp, body: BlockBody) -> Result<(), ChainError> {
+        let _span = seldel_telemetry::span!("chain.seal");
+        let number = self.tip().number().next();
+        let block = Block::new(number, timestamp, self.tip_hash(), body);
+        let root = block.header().payload_hash;
+        let hash = block.hash();
+        self.append(SealedBlock::from_parts(block, hash, Some(root)))
+    }
+
+    /// Checks `sealed` against the tip, then indexes and stores it.
+    fn append(&mut self, sealed: SealedBlock) -> Result<(), ChainError> {
         let tip = self.store.last().expect("chain is never empty");
         check_link(&tip, &sealed)?;
         self.index.index_block(sealed.block());
@@ -748,6 +781,36 @@ mod tests {
         assert!(chain.get(BlockNumber(3)).is_some());
         assert!(chain.get(BlockNumber(6)).is_none());
         assert_eq!(chain.covered_timespan(), 50);
+    }
+
+    /// A locally built block sealed from its own root is the block
+    /// `push(Block::new(..))` stores, with the same cached digests; the
+    /// linkage rules a body can still break are enforced.
+    #[test]
+    fn push_new_matches_push_of_block_new() {
+        let mut pushed = chain_with_blocks(2);
+        let mut built = chain_with_blocks(2);
+        let body = BlockBody::Normal {
+            entries: vec![entry("CHARLIE", 3)],
+        };
+        let prev = pushed.tip_hash();
+        pushed
+            .push(Block::new(
+                BlockNumber(3),
+                Timestamp(30),
+                prev,
+                body.clone(),
+            ))
+            .unwrap();
+        built.push_new(Timestamp(30), body).unwrap();
+        assert_eq!(built, pushed);
+        let (a, b) = (built.tip(), pushed.tip());
+        assert_eq!((a.hash(), a.payload_root()), (b.hash(), b.payload_root()));
+        assert_eq!(a.payload_root(), Some(a.body().payload_hash()));
+        assert!(matches!(
+            built.push_new(Timestamp(29), BlockBody::Empty),
+            Err(ChainError::TimestampRegression { .. })
+        ));
     }
 
     #[test]

@@ -43,7 +43,12 @@ use crate::types::{BlockNumber, EntryId, Timestamp};
 /// [`validate_incremental`](crate::validate::validate_incremental) cheap:
 /// the body was hashed when it entered the store (live push or durable
 /// replay), so later validation passes compare the cached root against the
-/// header commitment instead of re-hashing every entry. The root is an
+/// header commitment instead of re-hashing every entry. Where the root
+/// comes from depends on who made the block: a block this node built is
+/// sealed from the root [`Block::new`] derived for its header
+/// ([`Blockchain::push_new`](crate::chain::Blockchain::push_new)), while a
+/// block from outside — a peer, a sync response, an adopted chain — is
+/// re-hashed by [`SealedBlock::seal`]. The root is an
 /// `Option` because sealed blocks can come from sources that never hashed
 /// the body ([`SealedBlock::seal_header_only`], legacy stores); those fall
 /// back to a full re-hash when checked.
@@ -55,8 +60,9 @@ pub struct SealedBlock {
 }
 
 impl SealedBlock {
-    /// Seals a block, computing its header digest and payload root exactly
-    /// once.
+    /// Seals a block, computing its header digest and re-deriving its
+    /// payload root from the body — the path for blocks made elsewhere,
+    /// whose header commitment is unchecked until then.
     pub fn seal(block: Block) -> SealedBlock {
         let hash = block.hash();
         let payload_root = Some(block.body().payload_hash());
@@ -82,8 +88,10 @@ impl SealedBlock {
     /// Reassembles a sealed block from digests computed earlier — the
     /// paged [`FileStore`](crate::fstore::FileStore) read path, which
     /// stores the digests in its frame table and must not re-hash a block
-    /// every time it is materialised from disk. The caller vouches that
-    /// `hash`/`payload_root` were derived from exactly this block (the
+    /// every time it is materialised from disk, and
+    /// [`Blockchain::push_new`](crate::chain::Blockchain::push_new), which
+    /// has just built the block's header from its body. The caller vouches
+    /// that `hash`/`payload_root` were derived from exactly this block (the
     /// durable store covers them with a per-frame checksum).
     pub(crate) fn from_parts(
         block: Block,

@@ -46,7 +46,7 @@ use crate::deletion::{DeletionRecord, DeletionRegistry};
 use crate::error::CoreError;
 use crate::events::LedgerEvent;
 use crate::policy::{self, Candidate, CompiledPolicy, DeletionPlan};
-use crate::summary::build_summary_block;
+use crate::summary::summary_body;
 
 /// Snapshot of ledger health, used by experiments and monitoring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -510,9 +510,7 @@ impl<S: BlockStore> SelectiveLedger<S> {
         } else {
             BlockBody::Normal { entries }
         };
-        let prev = self.chain.tip_hash();
-        let block = Block::new(number, now, prev, body);
-        self.chain.push(block)?;
+        self.chain.push_new(now, body)?;
         self.blocks_appended += 1;
         let sealed_entries = self.chain.tip().entries().len();
         if sealed_entries > 0 {
@@ -566,9 +564,9 @@ impl<S: BlockStore> SelectiveLedger<S> {
         while now.since(self.chain.tip().timestamp()) >= policy.max_idle_ms {
             let ts = self.chain.tip().timestamp() + policy.max_idle_ms;
             let number = self.chain.tip().number().next();
-            let prev = self.chain.tip_hash();
-            let block = Block::new(number, ts, prev, BlockBody::Empty);
-            self.chain.push(block).expect("filler blocks always link");
+            self.chain
+                .push_new(ts, BlockBody::Empty)
+                .expect("filler blocks always link");
             self.blocks_appended += 1;
             self.events
                 .push_back(LedgerEvent::EmptyBlockAdded { number });
@@ -871,11 +869,15 @@ impl<S: BlockStore> SelectiveLedger<S> {
         if !self.config.is_summary_slot(next) {
             return;
         }
-        let (block, outcome) = {
+        let (body, outcome) = {
             let _span = seldel_telemetry::span!("ledger.sigma");
-            build_summary_block(&self.chain, &self.config, &self.deletions, next)
+            summary_body(&self.chain, &self.config, &self.deletions, next)
         };
-        self.chain.push(block).expect("summary blocks always link");
+        // A Σ repeats its predecessor's timestamp (§IV-B).
+        let ts = self.chain.tip().timestamp();
+        self.chain
+            .push_new(ts, body)
+            .expect("summary blocks always link");
         self.blocks_appended += 1;
         self.summaries_created += 1;
         self.events.push_back(LedgerEvent::SummaryCreated {
@@ -2137,5 +2139,53 @@ mod tests {
         for (id, loc) in ids.iter().zip(&located) {
             assert_eq!(*loc, ledger.locate(*id), "id {id}");
         }
+    }
+
+    /// SHA-256 digests one `seal_block` spends, pinned exactly, for a
+    /// normal seal (block 15) and for the seal that also fills Σ slot 14,
+    /// which merges 11 records and 3 tombstones. Every block appended is
+    /// built locally, so its payload tree is hashed once: sealing through
+    /// `push(Block::new(..))`, which re-derives each tree, spends 7 and 62
+    /// digests, exactly one payload tree per appended block more.
+    #[test]
+    fn local_seals_hash_each_payload_tree_once() {
+        let (alice, bravo) = (key(1), key(2));
+        let mut ledger = paper_ledger();
+        let mut spent = BTreeMap::new();
+        for n in 1..=15u64 {
+            if ledger.config().is_summary_slot(BlockNumber(n)) {
+                continue;
+            }
+            for (k, author) in [&alice, &bravo].into_iter().enumerate() {
+                let entry = Entry::sign_data(author, data("U", n * 10 + k as u64));
+                ledger.submit_entry(entry).unwrap();
+            }
+            if [4, 7, 10].contains(&n) {
+                let target = EntryId::new(BlockNumber(n - 3), EntryNumber(1));
+                ledger.request_deletion(&bravo, target, "gdpr").unwrap();
+            }
+            let before = seldel_crypto::digests_finalized();
+            ledger.seal_block(Timestamp(n * 10)).unwrap();
+            spent.insert(n, seldel_crypto::digests_finalized() - before);
+        }
+        let tree = |number: u64| {
+            let block = ledger.chain().get(BlockNumber(number)).unwrap();
+            let before = seldel_crypto::digests_finalized();
+            block.body().payload_hash();
+            seldel_crypto::digests_finalized() - before
+        };
+        let sigma = ledger.chain().get(BlockNumber(14)).unwrap();
+        assert_eq!(sigma.kind(), BlockKind::Summary);
+        assert_eq!(
+            (sigma.summary_records().len(), sigma.deletions().len()),
+            (11, 3)
+        );
+        // Normal block: 2 leaves + 1 node; Σ14: 14 leaves + 13 nodes.
+        assert_eq!((tree(13), tree(14), tree(15)), (3, 27, 3));
+        // One payload tree and one header hash per appended block.
+        assert_eq!(spent[&13], 32);
+        assert_eq!(spent[&15], 4);
+        assert_eq!(spent[&13] + tree(13) + tree(14), 62);
+        assert_eq!(spent[&15] + tree(15), 7);
     }
 }

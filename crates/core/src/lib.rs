@@ -81,4 +81,4 @@ pub use policy::{
 };
 pub use retention::{plan_retirement, RetirePlan};
 pub use sequence::{live_sequences, middle_sequence, sequence_of, SequenceSpan};
-pub use summary::{build_summary_block, SummaryOutcome};
+pub use summary::{build_summary_block, summary_body, SummaryOutcome};

@@ -1,7 +1,8 @@
 //! Deterministic summary-block construction (§IV-B, §IV-C, Fig. 5).
 //!
 //! Every anchor node builds summary blocks **locally** from its agreed copy
-//! of the chain — they are never propagated. [`build_summary_block`] is
+//! of the chain — they are never propagated. [`build_summary_block`] (and
+//! [`summary_body`], the same block's body before it is hashed) is
 //! therefore a pure function of `(chain, config, deletion registry)`; two
 //! nodes with identical inputs produce bit-identical blocks (invariant I2
 //! in DESIGN.md), which is exactly what the paper's synchronisation check
@@ -35,10 +36,37 @@ pub struct SummaryOutcome {
 }
 
 /// Builds the summary block for slot `number` (which must be
-/// `chain.tip().number() + 1` and a summary slot of `config`).
+/// `chain.tip().number() + 1` and a summary slot of `config`): the body of
+/// [`summary_body`] under a header that repeats the tip's timestamp and
+/// links to the tip. This is the block whose hash the §IV-B
+/// synchronisation check compares.
 ///
-/// The block:
-/// * carries the predecessor's timestamp (§IV-B);
+/// # Panics
+///
+/// As [`summary_body`].
+pub fn build_summary_block<S: BlockStore>(
+    chain: &seldel_chain::Blockchain<S>,
+    config: &ChainConfig,
+    deletions: &DeletionRegistry,
+    number: BlockNumber,
+) -> (Block, SummaryOutcome) {
+    let (body, outcome) = summary_body(chain, config, deletions, number);
+    let block = Block::new(
+        number,
+        chain.tip().timestamp(),
+        chain.tip_hash(), // cached sealed-block digest, no re-hash
+        body,
+    );
+    (block, outcome)
+}
+
+/// Builds the body of the summary block for slot `number` (which must be
+/// `chain.tip().number() + 1` and a summary slot of `config`), without
+/// hashing it: the ledger appends it with
+/// [`Blockchain::push_new`](seldel_chain::Blockchain::push_new), which
+/// builds the payload tree once.
+///
+/// The block carries the predecessor's timestamp (§IV-B). Its body:
 /// * absorbs all sequences the retention policy retires, copying their
 ///   data records with original block number / entry number / timestamp
 ///   (Fig. 4) while dropping deletion-marked data (Fig. 5), expired
@@ -49,12 +77,12 @@ pub struct SummaryOutcome {
 ///
 /// Panics when `number` is not the next block number or not a summary slot
 /// — both indicate a driver bug, not runtime input.
-pub fn build_summary_block<S: BlockStore>(
+pub fn summary_body<S: BlockStore>(
     chain: &seldel_chain::Blockchain<S>,
     config: &ChainConfig,
     deletions: &DeletionRegistry,
     number: BlockNumber,
-) -> (Block, SummaryOutcome) {
+) -> (BlockBody, SummaryOutcome) {
     assert_eq!(
         number,
         chain.tip().number().next(),
@@ -165,17 +193,12 @@ pub fn build_summary_block<S: BlockStore>(
     tombstones.sort_unstable();
     tombstones.dedup();
 
-    let block = Block::new(
-        number,
-        now_ts,
-        chain.tip_hash(), // cached sealed-block digest, no re-hash
-        BlockBody::Summary {
-            records,
-            deletions: tombstones,
-            anchor,
-        },
-    );
-    (block, outcome)
+    let body = BlockBody::Summary {
+        records,
+        deletions: tombstones,
+        anchor,
+    };
+    (body, outcome)
 }
 
 #[cfg(test)]

@@ -18,6 +18,17 @@
 //! Ed25519) and validated against the official test vectors in this crate's
 //! test suite.
 //!
+//! # Implementation
+//!
+//! SHA-256 has two compression functions. On x86_64 CPUs that report the
+//! SHA extensions (SHA-NI) at run time, `sha256rnds2`/`sha256msg1`/
+//! `sha256msg2` do the rounds; everywhere else, and as the reference in
+//! tests, a portable integer implementation does. The choice is made per
+//! call from std's cached CPUID probe — no Cargo feature, `RUSTFLAGS` or
+//! `target-cpu` is involved. Both paths compute the same function, so
+//! every digest, and with it every block hash and Σ hash (invariant I2),
+//! is the same on every host.
+//!
 //! # Security note
 //!
 //! The field, scalar and point arithmetic is written for clarity and
@@ -27,6 +38,15 @@
 //! the base point through a precomputed table indexed by the digits of the
 //! secret nonce and the secret scalar, so which entries are read, and
 //! how many additions run, depend on secret data.
+//!
+//! The crate's one `unsafe` block is the call into the SHA-NI compression
+//! in `sha256.rs`: that function is safe code compiled with
+//! `#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]`, and the call is
+//! made only after `is_x86_feature_detected!` confirmed all four features.
+//! It reads and writes only its two array arguments. The lints
+//! `unsafe_code` and `clippy::undocumented_unsafe_blocks` are denied, so
+//! any further block needs an explicit allowance and a `// SAFETY:` note.
+//! Neither SHA-256 path branches on or indexes by data.
 //!
 //! [`VerifyingKey`] memoises validated public keys in a thread-local
 //! table bounded by a constant (1 024 keys, cleared when full). It is
@@ -46,7 +66,8 @@
 //! assert!(key.verifying_key().verify(b"delete block 3 entry 1", &sig).is_ok());
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 mod bigint;

@@ -250,3 +250,79 @@ fn anchored_chain_validates_and_hampers_rewrites() {
     // At least the newest anchor ranges may still be live and verified.
     let _ = report.anchors_verified;
 }
+
+/// Drives `ledger` through merges with owner deletions, then checks that
+/// every id whose deletion was ever executed still proves deleted from the
+/// live chain alone: a tombstone in a live Σ, verified against the header
+/// chain. Ids executed several merges ago are only provable because every
+/// Σ carries its absorbed predecessors' tombstones forward.
+fn assert_every_executed_deletion_provable<S: BlockStore>(mut ledger: SelectiveLedger<S>) {
+    use selective_deletion::chain::{prove_deleted, verify_proof, EntryProof, HeaderChain};
+
+    let owner = SigningKey::from_seed([21u8; 32]);
+    let mut executed: Vec<EntryId> = Vec::new();
+    let mut merges = 0;
+    let mut previous: Option<BlockNumber> = None;
+    for n in 0..60u64 {
+        for k in 0..2u64 {
+            let record = DataRecord::new("login").with("n", n * 2 + k);
+            ledger
+                .submit_entry(Entry::sign_data(&owner, record))
+                .expect("valid entry");
+        }
+        // Delete the second entry of the previous normal block, which is
+        // still live: the request rides in this block.
+        if let Some(block) = previous {
+            let target = EntryId::new(block, EntryNumber(1));
+            ledger
+                .request_deletion(&owner, target, "erase")
+                .expect("owner may delete");
+        }
+        previous = Some(
+            ledger
+                .seal_block(Timestamp(10 * (n + 1)))
+                .expect("monotone"),
+        );
+        for event in ledger.drain_events() {
+            match event {
+                LedgerEvent::DeletionExecuted { target, .. } => executed.push(target),
+                LedgerEvent::SequencesRetired { .. } => merges += 1,
+                _ => {}
+            }
+        }
+    }
+    assert!(merges >= 3, "only {merges} merges");
+    assert!(executed.len() >= 20, "only {} executions", executed.len());
+
+    let chain = ledger.chain();
+    let headers = HeaderChain::from_chain(chain);
+    for id in executed {
+        let proof = prove_deleted(chain, id)
+            .unwrap_or_else(|err| panic!("executed deletion of {id} not provable: {err}"));
+        assert!(
+            matches!(proof, EntryProof::DeletionExecuted(_)),
+            "{id}: not a tombstone proof"
+        );
+        verify_proof(&proof, id, &headers).expect("tombstone proof verifies");
+    }
+}
+
+#[test]
+fn every_executed_deletion_stays_provable_on_every_backend() {
+    use selective_deletion::chain::{testutil::ScratchDir, FileStore};
+
+    let config = ChainConfig::paper_evaluation;
+    assert_every_executed_deletion_provable(SelectiveLedger::new(config()));
+    assert_every_executed_deletion_provable(
+        SelectiveLedger::builder(config())
+            .store_backend::<SegStore>()
+            .build(),
+    );
+    let scratch = ScratchDir::new("tombstone-carry");
+    assert_every_executed_deletion_provable(
+        SelectiveLedger::builder(config())
+            .store_backend::<FileStore>()
+            .on_disk(scratch.path())
+            .expect("fresh store"),
+    );
+}
