@@ -9,10 +9,7 @@ use std::hint::black_box;
 use seldel_bench::{
     bench_config, build_ledger, build_unbounded_ledger, workload_entry, workload_key,
 };
-use seldel_chain::{
-    validate_chain, BaselineChain, BlockStore, MemStore, SealedBlock, SegStore, Timestamp,
-    ValidationOptions,
-};
+use seldel_chain::{validate_chain, BaselineChain, Timestamp, ValidationOptions};
 use seldel_core::SelectiveLedger;
 
 fn bench_seal_block(c: &mut Criterion) {
@@ -147,41 +144,6 @@ fn bench_locate_indexed_vs_scan(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_store_backends(c: &mut Criterion) {
-    // MemStore vs the append-only SegStore on the raw store operations
-    // (push / point get / drain_front), with sealing and signing hoisted
-    // out so backend cost differences are actually visible.
-    let sealed: Vec<SealedBlock> = build_ledger(10, 400, 300, 2, 32)
-        .chain()
-        .iter_sealed()
-        .map(|sealed| sealed.into_sealed())
-        .collect();
-
-    fn drive<S: BlockStore>(blocks: &[SealedBlock]) -> u64 {
-        let mut store = S::default();
-        for block in blocks {
-            store.push(block.clone());
-            if store.len() > 40 {
-                store.drain_front(11);
-            }
-        }
-        (0..store.len())
-            .map(|i| store.get(i).expect("in range").block().number().value())
-            .sum()
-    }
-
-    let mut group = c.benchmark_group("store_backend");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(sealed.len() as u64));
-    group.bench_function("mem/push_get_drain", |b| {
-        b.iter(|| black_box(drive::<MemStore>(black_box(&sealed))))
-    });
-    group.bench_function("seg/push_get_drain", |b| {
-        b.iter(|| black_box(drive::<SegStore>(black_box(&sealed))))
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default()
@@ -189,6 +151,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(500))
         .sample_size(20);
     targets = bench_seal_block, bench_validation, bench_locate,
-        bench_locate_indexed_vs_scan, bench_store_backends
+        bench_locate_indexed_vs_scan
 }
 criterion_main!(benches);

@@ -2,138 +2,14 @@
 //! "Data Reduction").
 //!
 //! Prints the growth series of the selective-deletion chain against the
-//! conventional baseline, plus an l_max sweep, and writes the
-//! machine-readable chain-operation timings to `BENCH_chain_ops.json`
-//! (indexed vs scan lookups, live-record materialisation, validation at
-//! 1k/10k live blocks) so CI archives the performance trajectory.
+//! conventional baseline, plus an l_max sweep.
 //!
 //! Run with `cargo run -p seldel-bench --bin exp_growth --release`.
-//!
-//! Pass `--baseline <path>` to compare against a previously committed
-//! `BENCH_chain_ops.json`: seal throughput and indexed `locate` latency
-//! must stay within 20% of the baseline on every backend and chain size
-//! (locate additionally gets a 100 ns absolute allowance — indexed
-//! lookups sit in the tens of nanoseconds, where a relative gate alone
-//! would flag pure timer jitter), `validate_incremental` must not slow
-//! down by more than 25%, and the incremental audit must stay at least
-//! 10× faster than a full validation pass on the largest chain.
-//! Violations print GitHub `::warning::` annotations and exit non-zero.
 
-use seldel_bench::report::{
-    row_field_f64, row_field_str, write_chain_ops_report, BackendSample, ChainOpsSample,
-};
 use seldel_codec::render::{human_bytes, ratio, TextTable};
 use seldel_sim::{run_growth, sweep_l_max, GrowthConfig};
 
-/// Minimum acceptable ratio of current to baseline throughput (and its
-/// inverse for timings): 20% regression headroom over scheduler noise.
-const FLOOR: f64 = 0.8;
-
-/// The acceptance floor for incremental-vs-full validation speedup.
-const MIN_INCREMENTAL_SPEEDUP: f64 = 10.0;
-
-/// Absolute slack for the locate gates: sub-100 ns timings cannot be held
-/// to a purely relative bound (±8 ns of scheduler jitter on a 25 ns
-/// lookup already reads as ±30%).
-const LOCATE_NOISE_FLOOR_NS: f64 = 100.0;
-
-/// Absolute slack for the incremental-audit gate: the 1k-block audit runs
-/// in ~10 us, where scheduler jitter alone swings the reading by more
-/// than the relative bound. The 10k-block sample (~150 us) is what the
-/// relative gate meaningfully holds.
-const VALIDATE_NOISE_FLOOR_NS: f64 = 15_000.0;
-
-/// Compares this run to the committed baseline report; returns complaints.
-fn regressions(baseline: &str, ops: &[ChainOpsSample], backends: &[BackendSample]) -> Vec<String> {
-    let mut complaints = Vec::new();
-    for line in baseline.lines() {
-        let Some(base_blocks) = row_field_f64(line, "live_blocks") else {
-            continue;
-        };
-        if let Some(backend) = row_field_str(line, "backend") {
-            // A backend row: gate seal throughput and locate latency.
-            let Some(now) = backends
-                .iter()
-                .find(|b| b.backend == backend && b.live_blocks as f64 == base_blocks)
-            else {
-                continue;
-            };
-            if let Some(base_rate) = row_field_f64(line, "seal_blocks_per_s") {
-                if now.seal_blocks_per_s() < base_rate * FLOOR {
-                    complaints.push(format!(
-                        "{backend}: {:.0} sealed blocks/s vs baseline {:.0} ({}% of baseline)",
-                        now.seal_blocks_per_s(),
-                        base_rate,
-                        (100.0 * now.seal_blocks_per_s() / base_rate).round()
-                    ));
-                }
-            }
-            if let Some(base_ns) = row_field_f64(line, "locate_indexed_ns") {
-                if now.locate_indexed_ns * FLOOR > base_ns + LOCATE_NOISE_FLOOR_NS {
-                    complaints.push(format!(
-                        "{backend}: locate {:.0} ns vs baseline {:.0} ({}% of baseline)",
-                        now.locate_indexed_ns,
-                        base_ns,
-                        (100.0 * now.locate_indexed_ns / base_ns).round()
-                    ));
-                }
-            }
-        } else {
-            // A sample row: gate the incremental audit and locate timings.
-            let Some(now) = ops.iter().find(|s| s.live_blocks as f64 == base_blocks) else {
-                continue;
-            };
-            if let Some(base_ns) = row_field_f64(line, "validate_incremental_ns") {
-                if now.validate_incremental_ns * FLOOR > base_ns + VALIDATE_NOISE_FLOOR_NS {
-                    complaints.push(format!(
-                        "{} live blocks: validate_incremental {:.0} ns vs baseline {:.0} \
-                         ({}% of baseline)",
-                        now.live_blocks,
-                        now.validate_incremental_ns,
-                        base_ns,
-                        (100.0 * now.validate_incremental_ns / base_ns).round()
-                    ));
-                }
-            }
-            if let Some(base_ns) = row_field_f64(line, "locate_indexed_ns") {
-                if now.locate_indexed_ns * FLOOR > base_ns + LOCATE_NOISE_FLOOR_NS {
-                    complaints.push(format!(
-                        "{} live blocks: locate {:.0} ns vs baseline {:.0} ({}% of baseline)",
-                        now.live_blocks,
-                        now.locate_indexed_ns,
-                        base_ns,
-                        (100.0 * now.locate_indexed_ns / base_ns).round()
-                    ));
-                }
-            }
-        }
-    }
-    // Absolute floor, independent of the committed numbers: the audit must
-    // keep its asymptotic edge over full validation on the largest chain.
-    if let Some(largest) = ops.iter().max_by_key(|s| s.live_blocks) {
-        if largest.incremental_speedup() < MIN_INCREMENTAL_SPEEDUP {
-            complaints.push(format!(
-                "{} live blocks: incremental audit only {:.1}x faster than full \
-                 validation (floor {MIN_INCREMENTAL_SPEEDUP}x)",
-                largest.live_blocks,
-                largest.incremental_speedup()
-            ));
-        }
-    }
-    complaints
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let baseline_path = args
-        .iter()
-        .position(|a| a == "--baseline")
-        .map(|i| args.get(i + 1).expect("--baseline needs a path").clone());
-    // Read the baseline up front: this run overwrites BENCH_chain_ops.json.
-    let baseline = baseline_path
-        .as_deref()
-        .map(|p| std::fs::read_to_string(p).unwrap_or_else(|e| panic!("read baseline {p}: {e}")));
-
     let cfg = GrowthConfig {
         blocks: 600,
         entries_per_block: 4,
@@ -181,72 +57,4 @@ fn main() {
          within l_max + l ({} blocks) while retaining {} live records.",
         last.baseline_blocks, last.selective_blocks, last.selective_records
     );
-
-    println!("\nchain-op timings (written to BENCH_chain_ops.json):");
-    let (ops, backends) =
-        write_chain_ops_report("BENCH_chain_ops.json").expect("write BENCH_chain_ops.json");
-    let mut timings = TextTable::new([
-        "live blocks",
-        "locate indexed",
-        "locate scan",
-        "speedup",
-        "live_records",
-        "validate (structural)",
-        "validate (incremental)",
-        "vs full",
-    ]);
-    for s in &ops {
-        timings.row([
-            s.live_blocks.to_string(),
-            format!("{:.0} ns", s.locate_indexed_ns),
-            format!("{:.0} ns", s.locate_scan_ns),
-            format!("{:.1}x", s.locate_speedup()),
-            format!("{:.1} us", s.live_records_ns / 1_000.0),
-            format!("{:.1} us", s.validate_structural_ns / 1_000.0),
-            format!("{:.1} us", s.validate_incremental_ns / 1_000.0),
-            format!("{:.1}x", s.incremental_speedup()),
-        ]);
-    }
-    println!("{}", timings.render());
-
-    println!(
-        "store backends on the same 1k-live-block workload (FileStore is\n\
-         disk-rooted: sealing pays real segment writes and fsyncs):"
-    );
-    let mut table = TextTable::new([
-        "backend",
-        "seal throughput",
-        "locate indexed",
-        "locate scan",
-        "validate (structural)",
-    ]);
-    for b in &backends {
-        table.row([
-            b.backend.to_string(),
-            format!("{:.0} blocks/s", b.seal_blocks_per_s()),
-            format!("{:.0} ns", b.locate_indexed_ns),
-            format!("{:.0} ns", b.locate_scan_ns),
-            format!("{:.1} us", b.validate_structural_ns / 1_000.0),
-        ]);
-    }
-    println!("{}", table.render());
-
-    if let Some(baseline) = baseline {
-        let complaints = regressions(&baseline, &ops, &backends);
-        if complaints.is_empty() {
-            println!(
-                "baseline check: seal throughput and incremental audit within \
-                 bounds of the committed run"
-            );
-        } else {
-            for c in &complaints {
-                println!("::warning title=exp_growth perf regression::{c}");
-            }
-            eprintln!(
-                "chain-op performance regressed vs the committed baseline on {} check(s)",
-                complaints.len()
-            );
-            std::process::exit(1);
-        }
-    }
 }

@@ -4,18 +4,16 @@
 //! this crate: criterion benches (`benches/`) measure the mechanisms,
 //! `src/bin/exp_*.rs` print the experiment tables, and `src/bin/figures.rs`
 //! replays the console outputs of Figs. 6–8. See EXPERIMENTS.md at the
-//! workspace root for the index.
+//! workspace root for the index. Timed end-to-end and per-layer numbers
+//! come from the `benchmark/` crate (`BENCHMARK.json`), not from here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use seldel_chain::{BlockStore, Entry, MemStore, Timestamp};
+use seldel_chain::{Entry, Timestamp};
 use seldel_codec::DataRecord;
 use seldel_core::{ChainConfig, RetentionPolicy, RetireMode, SelectiveLedger};
 use seldel_crypto::SigningKey;
-
-pub mod paging;
-pub mod report;
 
 /// Deterministic workload key shared by fixtures.
 pub fn workload_key() -> SigningKey {
@@ -57,47 +55,16 @@ pub fn build_ledger(
     entries_per_block: usize,
     payload_bytes: usize,
 ) -> SelectiveLedger {
-    build_ledger_in::<MemStore>(l, l_max, blocks, entries_per_block, payload_bytes)
-}
-
-/// [`build_ledger`] on an explicit storage backend.
-pub fn build_ledger_in<S: BlockStore>(
-    l: u64,
-    l_max: u64,
-    blocks: u64,
-    entries_per_block: usize,
-    payload_bytes: usize,
-) -> SelectiveLedger<S> {
-    let ledger = SelectiveLedger::builder(bench_config(l, l_max))
-        .store_backend::<S>()
-        .build();
+    let ledger = SelectiveLedger::new(bench_config(l, l_max));
     drive_ledger(ledger, blocks, entries_per_block, payload_bytes)
 }
 
-/// [`build_ledger`] over a caller-provided store instance — the way to
-/// bench a **rooted** durable backend (e.g. a `FileStore` opened on a
-/// scratch directory) instead of its in-memory default.
-pub fn build_ledger_with_store<S: BlockStore>(
-    store: S,
-    l: u64,
-    l_max: u64,
+fn drive_ledger(
+    mut ledger: SelectiveLedger,
     blocks: u64,
     entries_per_block: usize,
     payload_bytes: usize,
-) -> SelectiveLedger<S> {
-    let ledger = SelectiveLedger::builder(bench_config(l, l_max))
-        .store_backend::<S>()
-        .open_store(store)
-        .expect("bench stores open on fresh directories");
-    drive_ledger(ledger, blocks, entries_per_block, payload_bytes)
-}
-
-fn drive_ledger<S: BlockStore>(
-    mut ledger: SelectiveLedger<S>,
-    blocks: u64,
-    entries_per_block: usize,
-    payload_bytes: usize,
-) -> SelectiveLedger<S> {
+) -> SelectiveLedger {
     let key = workload_key();
     let mut counter = 0u64;
     for b in 1..=blocks {
@@ -159,23 +126,12 @@ pub fn build_ttl_ledger(
 
 /// An unbounded ledger (baseline-like retention) for validation benches.
 pub fn build_unbounded_ledger(blocks: u64, entries_per_block: usize) -> SelectiveLedger {
-    let key = workload_key();
-    let mut ledger = SelectiveLedger::new(ChainConfig {
+    let ledger = SelectiveLedger::new(ChainConfig {
         sequence_length: 10,
         retention: RetentionPolicy::keep_forever(),
         ..Default::default()
     });
-    let mut counter = 0u64;
-    for b in 1..=blocks {
-        for _ in 0..entries_per_block {
-            counter += 1;
-            ledger
-                .submit_entry(workload_entry(&key, counter, 32))
-                .expect("workload entries are valid");
-        }
-        ledger.seal_block(Timestamp(b * 10)).expect("monotone time");
-    }
-    ledger
+    drive_ledger(ledger, blocks, entries_per_block, 32)
 }
 
 /// Builds a chain **manually** under `config`, filling summary slots via

@@ -180,7 +180,7 @@ fn check_link(prev: &SealedBlock, sealed: &SealedBlock) -> Result<(), ChainError
 /// `Blockchain` is a [`MemStore`]-backed chain. Use
 /// [`Blockchain::with_genesis`] / [`Blockchain::assemble`] with an explicit
 /// type to pick another backend, e.g.
-/// `Blockchain::<SegStore>::with_genesis(...)`.
+/// `Blockchain::<FileStore>::with_genesis(...)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Blockchain<S: BlockStore = MemStore> {
     store: S,
@@ -733,7 +733,6 @@ mod tests {
     use super::*;
     use crate::block::BlockBody;
     use crate::fstore::FileStore;
-    use crate::store::SegStore;
     use crate::types::Timestamp;
     use seldel_crypto::SigningKey;
 
@@ -1109,27 +1108,27 @@ mod tests {
     }
 
     #[test]
-    fn seg_store_backend_behaves_identically() {
+    fn file_store_backend_behaves_identically() {
         let mem = chain_with_blocks(40);
-        let mut seg = chain_with_blocks_in::<SegStore>(40);
-        assert_eq!(mem.export_bytes(), seg.export_bytes());
-        assert_eq!(mem.tip_hash(), seg.tip_hash());
-        assert_eq!(mem.record_count(), seg.record_count());
+        let mut file = chain_with_blocks_in::<FileStore>(40);
+        assert_eq!(mem.export_bytes(), file.export_bytes());
+        assert_eq!(mem.tip_hash(), file.tip_hash());
+        assert_eq!(mem.record_count(), file.record_count());
 
-        seg.truncate_front(BlockNumber(17)).unwrap();
+        file.truncate_front(BlockNumber(17)).unwrap();
         let mut mem2 = mem.clone();
         mem2.truncate_front(BlockNumber(17)).unwrap();
-        assert_eq!(mem2.export_bytes(), seg.export_bytes());
-        assert_eq!(seg.entry_index(), &seg.rebuilt_index());
+        assert_eq!(mem2.export_bytes(), file.export_bytes());
+        assert_eq!(file.entry_index(), &file.rebuilt_index());
 
         // Cross-backend reassembly keeps the canonical bytes stable.
-        let crossed: Blockchain<SegStore> = Blockchain::assemble(mem2.export_blocks()).unwrap();
+        let crossed: Blockchain<FileStore> = Blockchain::assemble(mem2.export_blocks()).unwrap();
         assert_eq!(crossed.export_bytes(), mem2.export_bytes());
     }
 
     #[test]
     fn from_store_rebuilds_chain_and_index() {
-        let chain = chain_with_blocks_in::<SegStore>(12);
+        let chain = chain_with_blocks_in::<FileStore>(12);
         // Hand the populated store to from_store: identical chain.
         let rebuilt = Blockchain::from_store(chain.store.clone()).unwrap();
         assert_eq!(rebuilt, chain);
@@ -1160,6 +1159,40 @@ mod tests {
         assert_eq!(chain.entry_index(), &chain.rebuilt_index());
     }
 
+    /// The paged store's flat lookup cost, as an exact count: past the
+    /// hot-cache budget, a cyclic (LRU-adversarial) sweep of `locate` pages
+    /// in exactly one frame per probe, at 2× and at 4× the budget alike —
+    /// a cold lookup's cost follows the frame, not the chain length.
+    #[test]
+    fn cold_locate_costs_one_cache_miss_at_any_chain_length() {
+        const CACHE_BLOCKS: usize = 8;
+        for multiple in [2u64, 4] {
+            let scratch = crate::testutil::ScratchDir::new("cold-locate");
+            let store = FileStore::open_with_capacity(scratch.path(), 4)
+                .unwrap()
+                .with_hot_cache_capacity(CACHE_BLOCKS);
+            let mut chain = Blockchain::with_genesis_in(store, Block::genesis("t", Timestamp(0)));
+            let blocks = multiple * CACHE_BLOCKS as u64;
+            push_blocks(&mut chain, blocks);
+            let ids: Vec<EntryId> = (1..=blocks)
+                .map(|b| EntryId::new(BlockNumber(b), EntryNumber(1)))
+                .collect();
+            // One lap to reach the steady state, then the counted lap.
+            for id in &ids {
+                assert!(chain.locate(*id).is_some());
+            }
+            let misses = chain.store().hot_cache_misses();
+            for id in &ids {
+                assert!(chain.locate(*id).is_some());
+            }
+            assert_eq!(
+                chain.store().hot_cache_misses() - misses,
+                blocks,
+                "one miss per cold locate at {multiple}x the cache"
+            );
+        }
+    }
+
     #[test]
     fn from_store_rejects_tampered_and_empty_stores() {
         assert!(matches!(
@@ -1182,12 +1215,12 @@ mod tests {
 
     #[test]
     fn with_genesis_in_uses_the_given_store_and_rejects_populated_ones() {
-        let chain: Blockchain<SegStore> =
-            Blockchain::with_genesis_in(SegStore::default(), Block::genesis("x", Timestamp(0)));
+        let chain: Blockchain<FileStore> =
+            Blockchain::with_genesis_in(FileStore::default(), Block::genesis("x", Timestamp(0)));
         assert_eq!(chain.len(), 1);
-        let populated = chain_with_blocks_in::<SegStore>(2);
         let result = std::panic::catch_unwind(|| {
-            Blockchain::with_genesis_in(populated.store.clone(), Block::genesis("y", Timestamp(0)))
+            let populated = chain_with_blocks_in::<FileStore>(2);
+            Blockchain::with_genesis_in(populated.store, Block::genesis("y", Timestamp(0)))
         });
         assert!(result.is_err(), "populated store must be rejected");
     }
@@ -1195,7 +1228,7 @@ mod tests {
     #[test]
     fn replace_blocks_swaps_content_in_place() {
         let source = chain_with_blocks(6);
-        let mut target = chain_with_blocks_in::<SegStore>(2);
+        let mut target = chain_with_blocks_in::<FileStore>(2);
         target.replace_blocks(source.export_blocks()).unwrap();
         assert_eq!(target.export_bytes(), source.export_bytes());
         assert_eq!(target.entry_index(), &target.rebuilt_index());

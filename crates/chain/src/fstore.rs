@@ -1,9 +1,9 @@
 //! `FileStore` — the durable, file-backed segment log, **paged**: the
 //! live chain can be several times larger than resident memory.
 //!
-//! [`SegStore`](crate::store::SegStore) is "the in-memory shape of a
-//! file-backed log"; this module is that log made real. A rooted
-//! [`FileStore`] keeps the live chain in a directory:
+//! The log appends at the back and releases whole segments at the front,
+//! the access pattern of the marker-shift rule. A rooted [`FileStore`]
+//! keeps the live chain in a directory:
 //!
 //! ```text
 //! <root>/MANIFEST            versioned store metadata (see below)
@@ -126,7 +126,15 @@ use seldel_codec::{Codec, Decoder, Encoder};
 use seldel_crypto::{Digest32, Sha256};
 
 use crate::block::{Block, BlockHeader};
-use crate::store::{BlockRef, BlockStore, SealedBlock, SEGMENT_CAPACITY};
+use crate::store::{BlockRef, BlockStore, SealedBlock};
+
+/// Frames per segment file for stores created by [`FileStore::open`] and
+/// for unrooted stores.
+///
+/// Segments mirror the paper's sequences ω: retirement always cuts whole
+/// sequence prefixes, so moderately sized segments retire cleanly without
+/// long partial-segment tails.
+const SEGMENT_CAPACITY: usize = 64;
 
 /// Manifest file name inside a store directory.
 const MANIFEST_NAME: &str = "MANIFEST";
@@ -841,7 +849,7 @@ fn decode_frame_block(meta: &FrameMeta, frame: &[u8]) -> Result<SealedBlock, Str
 
 impl FileStore {
     /// Opens (or creates) a durable store rooted at `path` with the
-    /// default [`SEGMENT_CAPACITY`].
+    /// default capacity of 64 frames per segment.
     ///
     /// # Errors
     ///

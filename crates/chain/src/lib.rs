@@ -8,8 +8,8 @@
 //! * [`summary`] — carried-forward summary records (Fig. 4) and Fig. 9
 //!   anchors;
 //! * [`chain`] — the live chain β with its shifting genesis marker `m`;
-//! * [`store`] — pluggable block storage ([`MemStore`], [`SegStore`]) with
-//!   per-block sealed-hash caching;
+//! * [`store`] — pluggable block storage ([`BlockStore`], the in-memory
+//!   [`MemStore`]) with per-block sealed-hash caching;
 //! * [`fstore`] — the durable file-backed segment log ([`FileStore`]):
 //!   crash recovery on open, physical on-disk deletion on prune;
 //! * [`index`] — the maintained `EntryId → Location` index backing O(log n)
@@ -72,7 +72,7 @@ pub use proof::{
     prove_deleted, prove_live, verify_proof, EntryProof, HeaderChain, MerkleSpot, ProofError,
 };
 pub use shard::{ShardMap, ShardedIndex, ShardedMempool, DEFAULT_SHARD_COUNT};
-pub use store::{BlockRef, BlockStore, MemStore, SealedBlock, SegStore};
+pub use store::{BlockRef, BlockStore, MemStore, SealedBlock};
 pub use summary::{Anchor, SummaryRecord};
 pub use types::{BlockNumber, EntryId, EntryNumber, Expiry, Timestamp};
 pub use validate::{

@@ -7,12 +7,9 @@
 //!
 //! * [`MemStore`] — a plain `VecDeque`, the historical behaviour and the
 //!   default type parameter;
-//! * [`SegStore`] — an append-only segmented store. Blocks are written
-//!   into fixed-size segments that are never mutated after being filled;
-//!   pruning the front (the §IV-C physical deletion step) advances a
-//!   cursor and drops whole retired segments. This is the in-memory shape
-//!   of a file-backed log (one segment per file) and the stepping stone to
-//!   durable storage.
+//! * [`FileStore`](crate::fstore::FileStore) — the append-only segment
+//!   log: durable and paged when rooted in a directory, fully resident
+//!   when unrooted.
 //!
 //! Stores hold [`SealedBlock`]s, not raw [`Block`]s: a sealed block pairs
 //! the immutable block with its digest, computed **once** when the block
@@ -208,8 +205,8 @@ impl Eq for SealedBlock {}
 /// A guarded reference to a stored block — what [`BlockStore::get`] and
 /// [`BlockStore::iter`] hand out.
 ///
-/// Fully resident backends ([`MemStore`], [`SegStore`], unrooted
-/// `FileStore`) lend plain borrows; the paged, disk-rooted
+/// Fully resident backends ([`MemStore`], unrooted `FileStore`) lend
+/// plain borrows; the paged, disk-rooted
 /// [`FileStore`](crate::fstore::FileStore) materialises cold blocks from
 /// its segment files and hands out shared ownership of the cached copy
 /// instead — a `&SealedBlock` into the store would require the block to
@@ -406,153 +403,11 @@ impl BlockStore for MemStore {
     }
 }
 
-/// Number of blocks per [`SegStore`] segment.
-///
-/// Segments mirror the paper's sequences ω: retirement always cuts whole
-/// sequence prefixes, so moderately sized segments retire cleanly without
-/// long partial-segment tails.
-pub const SEGMENT_CAPACITY: usize = 64;
-
-/// An append-only segmented store.
-///
-/// Blocks are appended into fixed-capacity segments; the append path never
-/// rewrites a filled segment. Pruning moves retired blocks *out* of their
-/// slots (physical deletion — the pruned data must not linger in memory,
-/// §IV-C), advances `front_skip`, and drops whole exhausted segments, so
-/// the store appends at the back and releases at the front — exactly the
-/// access pattern of the marker-shift rule (DESIGN.md §Marker-shift
-/// rules), and the shape a file-backed segment log would have.
-#[derive(Debug, Clone, Default)]
-pub struct SegStore {
-    /// All live segments; every segment except the last holds exactly
-    /// [`SEGMENT_CAPACITY`] slots, so logical index arithmetic stays O(1).
-    /// Slots below `front_skip` in the first segment are `None`: their
-    /// blocks were handed out by `drain_front` and are physically gone.
-    segments: VecDeque<Vec<Option<SealedBlock>>>,
-    /// Slots of the front segment already pruned (always < the front
-    /// segment's length while the store is non-empty).
-    front_skip: usize,
-    /// Logical number of live blocks.
-    len: usize,
-}
-
-impl SegStore {
-    /// Physical position of logical `index`: `(segment, offset)`.
-    fn position(&self, index: usize) -> (usize, usize) {
-        let absolute = self.front_skip + index;
-        (absolute / SEGMENT_CAPACITY, absolute % SEGMENT_CAPACITY)
-    }
-
-    /// Number of retained segments (diagnostics / tests).
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-}
-
-impl PartialEq for SegStore {
-    fn eq(&self, other: &Self) -> bool {
-        // Logical equality: same blocks in the same order, regardless of
-        // how pruning left the segment layout.
-        self.len == other.len && self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for SegStore {}
-
-impl BlockStore for SegStore {
-    type Iter<'a> = SegIter<'a>;
-
-    fn push(&mut self, block: SealedBlock) {
-        match self.segments.back_mut() {
-            Some(segment) if segment.len() < SEGMENT_CAPACITY => segment.push(Some(block)),
-            _ => {
-                let mut segment = Vec::with_capacity(SEGMENT_CAPACITY);
-                segment.push(Some(block));
-                self.segments.push_back(segment);
-            }
-        }
-        self.len += 1;
-    }
-
-    fn get(&self, index: usize) -> Option<BlockRef<'_>> {
-        if index >= self.len {
-            return None;
-        }
-        let (segment, offset) = self.position(index);
-        self.segments
-            .get(segment)?
-            .get(offset)?
-            .as_ref()
-            .map(BlockRef::Borrowed)
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn drain_front(&mut self, count: usize) -> Vec<SealedBlock> {
-        let count = count.min(self.len);
-        // Physical deletion: the blocks are *moved* out of their slots (the
-        // slot becomes None immediately), then the cursor advances and
-        // exhausted front segments are dropped whole.
-        let removed: Vec<SealedBlock> = (0..count)
-            .map(|i| {
-                let (segment, offset) = self.position(i);
-                self.segments[segment][offset]
-                    .take()
-                    .expect("live slots hold blocks")
-            })
-            .collect();
-        self.front_skip += count;
-        self.len -= count;
-        if self.len == 0 {
-            self.segments.clear();
-            self.front_skip = 0;
-        } else {
-            while self.front_skip >= SEGMENT_CAPACITY {
-                self.segments.pop_front();
-                self.front_skip -= SEGMENT_CAPACITY;
-            }
-        }
-        removed
-    }
-
-    fn iter(&self) -> Self::Iter<'_> {
-        SegIter {
-            store: self,
-            next: 0,
-        }
-    }
-}
-
-/// Oldest-first iterator over a [`SegStore`].
-#[derive(Debug)]
-pub struct SegIter<'a> {
-    store: &'a SegStore,
-    next: usize,
-}
-
-impl<'a> Iterator for SegIter<'a> {
-    type Item = BlockRef<'a>;
-
-    fn next(&mut self) -> Option<BlockRef<'a>> {
-        let item = self.store.get(self.next)?;
-        self.next += 1;
-        Some(item)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.store.len.saturating_sub(self.next);
-        (remaining, Some(remaining))
-    }
-}
-
-impl ExactSizeIterator for SegIter<'_> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::block::BlockBody;
+    use crate::fstore::FileStore;
     use crate::types::{BlockNumber, Timestamp};
 
     fn sealed(n: u64) -> SealedBlock {
@@ -584,55 +439,24 @@ mod tests {
     }
 
     #[test]
-    fn mem_and_seg_stores_agree() {
+    fn mem_and_file_stores_agree() {
+        // Drains land on both sides of the 64-block segment boundaries.
         let mem: MemStore = drive(200, &[3, 10, 0, 60, 7]);
-        let seg: SegStore = drive(200, &[3, 10, 0, 60, 7]);
-        assert_eq!(mem.len(), seg.len());
-        assert!(mem.iter().eq(seg.iter()));
+        let file: FileStore = drive(200, &[3, 10, 0, 60, 7]);
+        assert_eq!(mem.len(), file.len());
+        assert!(mem.iter().eq(file.iter()));
         for i in 0..mem.len() {
-            assert_eq!(mem.get(i), seg.get(i));
+            assert_eq!(mem.get(i), file.get(i));
         }
-        assert_eq!(mem.first(), seg.first());
-        assert_eq!(mem.last(), seg.last());
+        assert_eq!(mem.first(), file.first());
+        assert_eq!(mem.last(), file.last());
     }
 
     #[test]
-    fn seg_store_drops_exhausted_segments() {
-        let mut store = SegStore::default();
-        for n in 0..(3 * SEGMENT_CAPACITY as u64) {
-            store.push(sealed(n));
-        }
-        assert_eq!(store.segment_count(), 3);
-        let removed = store.drain_front(2 * SEGMENT_CAPACITY + 5);
-        assert_eq!(removed.len(), 2 * SEGMENT_CAPACITY + 5);
-        assert_eq!(removed[0].block().number(), BlockNumber(0));
-        assert_eq!(store.segment_count(), 1);
-        assert_eq!(store.len(), SEGMENT_CAPACITY - 5);
-        assert_eq!(
-            store.first().unwrap().block().number(),
-            BlockNumber(2 * SEGMENT_CAPACITY as u64 + 5)
-        );
-    }
-
-    #[test]
-    fn drained_slots_are_physically_cleared() {
-        // §IV-C physical deletion: pruned blocks must not linger in the
-        // store's memory behind the cursor.
-        let mut store = SegStore::default();
-        for n in 0..10 {
-            store.push(sealed(n));
-        }
-        let removed = store.drain_front(4);
-        assert_eq!(removed.len(), 4);
-        assert!(store.segments[0][..4].iter().all(Option::is_none));
-        assert_eq!(store.get(0).unwrap().block().number(), BlockNumber(4));
-    }
-
-    #[test]
-    fn seg_store_logical_equality_ignores_layout() {
+    fn file_store_logical_equality_ignores_layout() {
         // Same logical content, different pruning history.
-        let mut a = SegStore::default();
-        let mut b = SegStore::default();
+        let mut a = FileStore::default();
+        let mut b = FileStore::default();
         for n in 0..10 {
             a.push(sealed(n));
         }
@@ -670,28 +494,9 @@ mod tests {
     }
 
     #[test]
-    fn seg_store_drain_front_clamps() {
-        assert_drain_clamps::<SegStore>();
-    }
-
-    #[test]
     fn file_store_drain_front_clamps() {
         // Unrooted variant here; the rooted variant (with on-disk effects)
         // is pinned in `fstore::tests::drain_front_clamps_beyond_len`.
-        assert_drain_clamps::<crate::fstore::FileStore>();
-    }
-
-    #[test]
-    fn drain_to_empty_resets_cursor() {
-        let mut store = SegStore::default();
-        for n in 0..5 {
-            store.push(sealed(n));
-        }
-        let removed = store.drain_front(9);
-        assert_eq!(removed.len(), 5);
-        assert!(store.is_empty());
-        store.push(sealed(5));
-        assert_eq!(store.get(0).unwrap().block().number(), BlockNumber(5));
-        assert_eq!(store.iter().count(), 1);
+        assert_drain_clamps::<FileStore>();
     }
 }

@@ -309,6 +309,7 @@ mod tests {
     use super::*;
     use crate::block::{Block, BlockBody};
     use crate::entry::Entry;
+    use crate::summary::SummaryRecord;
     use crate::types::{EntryId, EntryNumber, Timestamp};
     use seldel_codec::DataRecord;
     use seldel_crypto::SigningKey;
@@ -398,6 +399,48 @@ mod tests {
         assert_eq!(report.blocks_checked, 7);
         assert_eq!(report.roots_cached, 7);
         assert_eq!(report.roots_recomputed, 0);
+    }
+
+    #[test]
+    fn incremental_audit_finalizes_no_digest_where_full_validation_rehashes() {
+        // The audit's edge over full validation, as an exact count: on
+        // cached roots it finalizes no SHA-256 digest at all, while the
+        // full pass re-derives every payload tree (entries, carried
+        // records, tombstones).
+        let mut c = chain(12);
+        let carried: Vec<SummaryRecord> = (1..=4)
+            .map(|n| {
+                let block = c.get(BlockNumber(n)).unwrap();
+                let origin = EntryId::new(BlockNumber(n), EntryNumber(0));
+                SummaryRecord::from_entry(&block.entries()[0], origin, block.timestamp()).unwrap()
+            })
+            .collect();
+        let prev = c.tip().hash();
+        let ts = c.tip().timestamp();
+        c.push(Block::new(
+            BlockNumber(13),
+            ts,
+            prev,
+            BlockBody::Summary {
+                records: carried,
+                deletions: (5..=9)
+                    .map(|n| EntryId::new(BlockNumber(n), EntryNumber(0)))
+                    .collect(),
+                anchor: None,
+            },
+        ))
+        .unwrap();
+
+        let before = seldel_crypto::digests_finalized();
+        let report = validate_incremental(&c).unwrap();
+        assert_eq!(report.roots_cached, 14);
+        assert_eq!(seldel_crypto::digests_finalized() - before, 0);
+
+        // Pinned exactly: update it only when payload hashing changes on
+        // purpose.
+        let before = seldel_crypto::digests_finalized();
+        validate_full(&c).unwrap();
+        assert_eq!(seldel_crypto::digests_finalized() - before, 30);
     }
 
     #[test]

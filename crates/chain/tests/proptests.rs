@@ -187,7 +187,8 @@ proptest! {
     /// Satellite of the shard subsystem PR, extending the PR 2 index
     /// property tests to the **retire path**: under randomized marker-shift
     /// sequences, the incrementally maintained (sharded) index must stay
-    /// equal to a from-scratch rebuild — on all three backends, with
+    /// equal to a from-scratch rebuild — on `MemStore` and on unrooted and
+    /// rooted `FileStore`s, with
     /// summary-carried records in the mix so `retire_before` has both
     /// survivors and casualties to judge.
     #[test]
@@ -196,16 +197,17 @@ proptest! {
         cuts in proptest::collection::vec(1u64..7, 1..5),
     ) {
         use seldel_chain::testutil::ScratchDir;
-        use seldel_chain::{FileStore, MemStore, SegStore};
+        use seldel_chain::{FileStore, MemStore};
 
         let source = build_mixed_chain(blocks);
         let dir = ScratchDir::new("retireprop");
         let file_store = FileStore::open_with_capacity(dir.path(), 4).expect("store opens");
 
-        // Identical chains on all three backends.
+        // Identical chains on the in-memory store, an unrooted (resident)
+        // FileStore and a rooted (paged) one.
         let mut mem: Blockchain<MemStore> =
             Blockchain::assemble(source.export_blocks()).expect("relink");
-        let mut seg: Blockchain<SegStore> =
+        let mut unrooted: Blockchain<FileStore> =
             Blockchain::assemble(source.export_blocks()).expect("relink");
         let mut exported = source.export_blocks().into_iter();
         let mut file: Blockchain<FileStore> =
@@ -221,20 +223,20 @@ proptest! {
         for cut in cuts {
             marker = (marker + cut).min(blocks); // never past the tip
             mem.truncate_front(BlockNumber(marker)).expect("live marker");
-            seg.truncate_front(BlockNumber(marker)).expect("live marker");
+            unrooted.truncate_front(BlockNumber(marker)).expect("live marker");
             file.truncate_front(BlockNumber(marker)).expect("live marker");
 
             // The incrementally retired index equals a full rebuild...
             let oracle = mem.rebuilt_index();
             prop_assert_eq!(mem.entry_index(), &oracle);
-            prop_assert_eq!(seg.entry_index(), &oracle);
+            prop_assert_eq!(unrooted.entry_index(), &oracle);
             prop_assert_eq!(file.entry_index(), &oracle);
             // ...and answers every probe exactly like the oracle.
             for id in &probes {
                 prop_assert_eq!(mem.entry_index().get(*id), oracle.get(*id), "id {}", id);
                 prop_assert_eq!(mem.locate(*id), mem.locate_scan(*id), "id {}", id);
             }
-            prop_assert_eq!(mem.export_bytes(), seg.export_bytes());
+            prop_assert_eq!(mem.export_bytes(), unrooted.export_bytes());
             prop_assert_eq!(mem.export_bytes(), file.export_bytes());
         }
 
@@ -250,8 +252,8 @@ proptest! {
     }
 
     /// Merkle commitments are backend-independent: the payload roots
-    /// cached at seal time on `MemStore` equal the `SegStore` roots and
-    /// the `FileStore` roots — before and after a
+    /// cached at seal time on `MemStore` equal the unrooted and the rooted
+    /// `FileStore` roots — before and after a
     /// marker shift, and across a close-and-replay cycle where the durable
     /// backend re-derives every root from raw frame bytes.
     #[test]
@@ -260,7 +262,7 @@ proptest! {
         cut in 0u64..8,
     ) {
         use seldel_chain::testutil::ScratchDir;
-        use seldel_chain::{validate_store_incremental, FileStore, MemStore, SegStore};
+        use seldel_chain::{validate_store_incremental, FileStore, MemStore};
 
         let source = build_mixed_chain(blocks);
         let dir = ScratchDir::new("rootprop");
@@ -268,7 +270,7 @@ proptest! {
 
         let mut mem: Blockchain<MemStore> =
             Blockchain::assemble(source.export_blocks()).expect("relink");
-        let mut seg: Blockchain<SegStore> =
+        let mut unrooted: Blockchain<FileStore> =
             Blockchain::assemble(source.export_blocks()).expect("relink");
         let mut exported = source.export_blocks().into_iter();
         let mut file: Blockchain<FileStore> =
@@ -280,7 +282,7 @@ proptest! {
         let cut = cut.min(blocks);
         if cut > 0 {
             mem.truncate_front(BlockNumber(cut)).expect("in range");
-            seg.truncate_front(BlockNumber(cut)).expect("in range");
+            unrooted.truncate_front(BlockNumber(cut)).expect("in range");
             file.truncate_front(BlockNumber(cut)).expect("in range");
         }
 
@@ -289,7 +291,7 @@ proptest! {
         for (number, cached, committed) in &oracle {
             prop_assert_eq!(cached.as_ref(), Some(committed), "block {}", number);
         }
-        prop_assert_eq!(&sealed_roots(&seg), &oracle);
+        prop_assert_eq!(&sealed_roots(&unrooted), &oracle);
         prop_assert_eq!(&sealed_roots(&file), &oracle);
 
         // Close and replay: the durable backend re-derives identical roots

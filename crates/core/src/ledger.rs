@@ -95,7 +95,7 @@ pub struct SelectiveLedgerBuilder<S: BlockStore = MemStore> {
 
 impl<S: BlockStore> SelectiveLedgerBuilder<S> {
     /// Switches the storage backend the built ledger will use, e.g.
-    /// `.store_backend::<SegStore>()`. Backends change performance
+    /// `.store_backend::<FileStore>()`. Backends change performance
     /// characteristics only; chain semantics and hashes are identical.
     pub fn store_backend<T: BlockStore>(self) -> SelectiveLedgerBuilder<T> {
         SelectiveLedgerBuilder {

@@ -264,6 +264,20 @@ mod tests {
     }
 
     #[test]
+    fn min_timespan_equal_to_the_remaining_span_allows_retirement() {
+        // Tip τ70, first remaining block 3 at τ30: the chain would still
+        // cover exactly 40 ms, which meets a 40 ms minimum...
+        let mut cfg = config_l3(6);
+        let chain = chain_l3(8);
+        cfg.retention.min_timespan = Some(40);
+        let plan = plan_retirement(&chain, &cfg).expect("span 40 meets min 40");
+        assert_eq!(plan.new_marker(), BlockNumber(3));
+        // ...and one tick more than the chain covers blocks it.
+        cfg.retention.min_timespan = Some(41);
+        assert!(plan_retirement(&chain, &cfg).is_none());
+    }
+
+    #[test]
     fn unbounded_retention_never_plans() {
         let cfg = ChainConfig {
             sequence_length: 3,

@@ -493,6 +493,54 @@ mod tests {
     }
 
     #[test]
+    fn merge_of_two_summaries_with_overlapping_tombstones_stays_strictly_sorted() {
+        // Ledger-derived Σ blocks never share a tombstone (each id is
+        // executed at one merge, and each Σ is absorbed once), but a chain
+        // assembled from outside may hold two valid Σ blocks whose sorted
+        // lists overlap. A merge absorbing both must still emit one
+        // strictly sorted list, or the new Σ fails validation.
+        let cfg = config_l3(3);
+        let ghost = |block: u64| EntryId::new(BlockNumber(block), EntryNumber(7));
+        let mut chain = Blockchain::new(Block::genesis("t", Timestamp(0)));
+        for n in 1..=7u64 {
+            let prev = chain.tip().hash();
+            let (ts, body) = match n {
+                2 | 5 => (
+                    chain.tip().timestamp(),
+                    BlockBody::Summary {
+                        records: vec![],
+                        deletions: if n == 2 {
+                            vec![ghost(1)]
+                        } else {
+                            vec![ghost(1), ghost(3)]
+                        },
+                        anchor: None,
+                    },
+                ),
+                _ => (
+                    Timestamp(n * 10),
+                    BlockBody::Normal {
+                        entries: vec![data_entry(1, n)],
+                    },
+                ),
+            };
+            chain
+                .push(Block::new(BlockNumber(n), ts, prev, body))
+                .unwrap();
+        }
+        seldel_chain::validate_full(&chain).expect("each Σ is strictly sorted");
+
+        let (b8, o8) = build_summary_block(&chain, &cfg, &DeletionRegistry::new(), BlockNumber(8));
+        // The merge absorbs ω [0..2] and ω [3..5]: both Σ blocks.
+        assert_eq!(o8.plan.as_ref().unwrap().new_marker(), BlockNumber(6));
+        assert_eq!(b8.deletions(), [ghost(1), ghost(3)]);
+        assert!(b8.deletions().windows(2).all(|w| w[0] < w[1]));
+        chain.push(b8).unwrap();
+        chain.truncate_front(BlockNumber(6)).unwrap();
+        seldel_chain::validate_full(&chain).expect("merged Σ validates");
+    }
+
+    #[test]
     fn anchor_embedded_when_configured() {
         let mut cfg = config_l3(6);
         cfg.anchoring = AnchorPolicy::MiddleSequence;

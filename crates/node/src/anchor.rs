@@ -110,8 +110,8 @@ impl AnchorMetrics {
 pub const DEFAULT_ANNOUNCE_BOUND: usize = 8;
 
 /// An anchor node wrapping a [`SelectiveLedger`], generic over the
-/// ledger's storage backend (replicas can run [`MemStore`] or the
-/// segmented store interchangeably — Σ hashes are backend-independent).
+/// ledger's storage backend (replicas can run [`MemStore`] or a
+/// `FileStore` interchangeably — Σ hashes are backend-independent).
 ///
 /// # Durable watermark
 ///
@@ -597,10 +597,13 @@ mod tests {
 
     #[test]
     fn mixed_store_backends_stay_in_sync() {
-        // A SegStore replica follows a MemStore leader: summary blocks are
-        // derived locally on both backends and the Σ-hash sync checks must
-        // never flag a mismatch (hashes are storage-independent).
-        use seldel_chain::SegStore;
+        // A disk-rooted FileStore replica follows a MemStore leader:
+        // summary blocks are derived locally on both backends and the
+        // Σ-hash sync checks must never flag a mismatch (hashes are
+        // storage-independent).
+        use seldel_chain::testutil::ScratchDir;
+        use seldel_chain::FileStore;
+        let scratch = ScratchDir::new("anchor-mixed");
         let mut net = SimNetwork::new(NetConfig::default());
         let leader = NodeId(0);
         let mem_leader = net.add_node(Box::new(AnchorNode::new(
@@ -608,22 +611,23 @@ mod tests {
             leader,
             100,
         )));
-        let seg_replica = net.add_node(Box::new(AnchorNode::new(
+        let file_replica = net.add_node(Box::new(AnchorNode::new(
             SelectiveLedger::builder(ChainConfig::paper_evaluation())
-                .store_backend::<SegStore>()
-                .build(),
+                .store_backend::<FileStore>()
+                .on_disk(scratch.path())
+                .expect("fresh store opens"),
             leader,
             100,
         )));
         net.schedule_tick(mem_leader, 100);
-        net.schedule_tick(seg_replica, 100);
+        net.schedule_tick(file_replica, 100);
         for i in 0..12u64 {
             net.send_external(mem_leader, NodeMessage::Submit(entry(1, i)));
             net.run_until(net.now() + 100);
         }
         net.run_until(net.now() + 500);
         let l = net.node_as::<AnchorNode>(mem_leader).unwrap();
-        let r = net.node_as::<AnchorNode<SegStore>>(seg_replica).unwrap();
+        let r = net.node_as::<AnchorNode<FileStore>>(file_replica).unwrap();
         assert!(l.ledger().stats().summaries_created >= 2);
         assert_eq!(r.stats().sync_mismatches, 0);
         let replica_tip = r.ledger().chain().tip().number();

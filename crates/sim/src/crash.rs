@@ -733,6 +733,16 @@ mod tests {
     use super::*;
     use seldel_chain::testutil::ScratchDir;
 
+    /// A restarting node finds exactly the chain the scenario left behind.
+    fn assert_final_state_reopens(dir: &Path, report: &CrashReport) {
+        let reopened = SelectiveLedger::builder(crash_chain_config())
+            .store_backend::<FileStore>()
+            .on_disk(dir)
+            .expect("final scenario state reopens");
+        assert_eq!(reopened.chain().len(), report.final_live_blocks);
+        assert_eq!(reopened.chain().marker().value(), report.final_marker);
+    }
+
     #[test]
     fn crash_mid_push_recovers_to_oracle_identity() {
         let dir = ScratchDir::new("midpush");
@@ -746,6 +756,7 @@ mod tests {
         // The torn frame destroyed at least the final block.
         assert!(report.lost_blocks >= 1, "{report:?}");
         assert!(report.reapplied_blocks >= 1);
+        assert_final_state_reopens(dir.path(), &report);
     }
 
     #[test]
@@ -762,6 +773,7 @@ mod tests {
         // manifest, so a crash inside the prune destroys no blocks.
         assert_eq!(report.lost_blocks, 0, "{report:?}");
         assert_eq!(report.reapplied_blocks, 0);
+        assert_final_state_reopens(dir.path(), &report);
     }
 
     #[test]
@@ -778,6 +790,7 @@ mod tests {
         // in-driver assertion already pinned recovered_tip == watermark.
         assert!(report.lost_blocks >= 2, "{report:?}");
         assert!(report.reapplied_blocks >= 1);
+        assert_final_state_reopens(dir.path(), &report);
     }
 
     #[test]
@@ -804,5 +817,6 @@ mod tests {
         );
         assert_eq!(report.lost_blocks, 0, "{report:?}");
         assert_eq!(report.reapplied_blocks, 0);
+        assert_final_state_reopens(dir.path(), &report);
     }
 }

@@ -213,21 +213,22 @@ mod tests {
 
     #[test]
     fn storage_backends_produce_identical_chains() {
-        // I2 across backends: the same workload on MemStore and SegStore
-        // yields bit-identical live chains and identical samples.
-        use seldel_chain::{MemStore, SegStore};
+        // I2 across backends: the same workload on MemStore and an
+        // unrooted FileStore yields bit-identical live chains and identical
+        // samples.
+        use seldel_chain::{FileStore, MemStore};
         let cfg = GrowthConfig {
             blocks: 90,
             ..Default::default()
         };
         let (mem, mem_samples) = run_growth_in::<MemStore>(&cfg);
-        let (seg, seg_samples) = run_growth_in::<SegStore>(&cfg);
-        assert_eq!(mem_samples, seg_samples);
-        assert_eq!(mem.chain().tip_hash(), seg.chain().tip_hash());
-        assert_eq!(mem.chain().export_bytes(), seg.chain().export_bytes());
+        let (file, file_samples) = run_growth_in::<FileStore>(&cfg);
+        assert_eq!(mem_samples, file_samples);
+        assert_eq!(mem.chain().tip_hash(), file.chain().tip_hash());
+        assert_eq!(mem.chain().export_bytes(), file.chain().export_bytes());
         assert_eq!(
             mem.chain().entry_index().iter().collect::<Vec<_>>(),
-            seg.chain().entry_index().iter().collect::<Vec<_>>()
+            file.chain().entry_index().iter().collect::<Vec<_>>()
         );
     }
 

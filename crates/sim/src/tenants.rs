@@ -264,7 +264,7 @@ pub fn drive_multi_tenant<S: BlockStore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seldel_chain::{MemStore, SegStore};
+    use seldel_chain::{FileStore, MemStore};
 
     fn small_cfg() -> TenantConfig {
         TenantConfig {
@@ -333,12 +333,12 @@ mod tests {
     fn shard_count_and_backend_are_invisible_to_the_chain() {
         let cfg = small_cfg();
         let (mem, rm) = run_multi_tenant_in::<MemStore>(&cfg);
-        let (seg, rs) = run_multi_tenant_in::<SegStore>(&cfg);
-        assert_eq!(rm, rs, "backend changed observable behaviour");
-        assert_eq!(mem.chain().export_bytes(), seg.chain().export_bytes());
+        let (file, rf) = run_multi_tenant_in::<FileStore>(&cfg);
+        assert_eq!(rm, rf, "backend changed observable behaviour");
+        assert_eq!(mem.chain().export_bytes(), file.chain().export_bytes());
         // The sharded index answers exactly like the monolithic one.
         assert_eq!(mem.chain().entry_index(), &mem.chain().rebuilt_index());
-        assert_eq!(seg.chain().entry_index(), &seg.chain().rebuilt_index());
+        assert_eq!(file.chain().entry_index(), &file.chain().rebuilt_index());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! [`request_deletion`]: seldel_core::SelectiveLedger::request_deletion
 
 use seldel_chain::testutil::ScratchDir;
-use seldel_chain::{BlockStore, FileStore, MemStore, SegStore, Timestamp};
+use seldel_chain::{BlockStore, FileStore, MemStore, Timestamp};
 use seldel_core::{CompiledPolicy, Role, RoleTable, SelectiveLedger, Selector};
 use seldel_crypto::SigningKey;
 use seldel_sim::{drive_multi_tenant, tenant_chain_config, TenantConfig};
@@ -162,12 +162,13 @@ fn bulk_policy_apply_is_indistinguishable_from_a_sequential_oracle() {
     );
     exports.push(("mem", bytes));
 
+    // Unrooted (resident) FileStore pair.
     let bytes = run_pair(
-        build_ledger::<SegStore>(&cfg),
-        build_ledger::<SegStore>(&cfg),
+        build_ledger::<FileStore>(&cfg),
+        build_ledger::<FileStore>(&cfg),
         &cfg,
     );
-    exports.push(("seg", bytes));
+    exports.push(("unrooted", bytes));
 
     // Durable pair — and deliberately mixed backends: the FileStore bulk
     // side must match the MemStore oracle too.
@@ -185,5 +186,74 @@ fn bulk_policy_apply_is_indistinguishable_from_a_sequential_oracle() {
     let (first_tag, first) = &exports[0];
     for (tag, bytes) in &exports[1..] {
         assert_eq!(bytes, first, "{tag} diverged from {first_tag}");
+    }
+}
+
+/// The E13 policy sweep's correctness checks: every selector leaf and
+/// combinator compiles, each policy bites on the multi-tenant workload,
+/// the admin is authorised to apply it, and every matched record is
+/// physically erased within 4·l_max sealed blocks of the apply (deletions
+/// execute at the covering merge, E2).
+#[test]
+fn every_sweep_policy_erases_its_matches_within_four_l_max_blocks() {
+    let cfg = TenantConfig {
+        authors: 16,
+        zipf_s: 1.05,
+        blocks: 120,
+        entries_per_block: 6,
+        delete_every: 17,
+        query_batch: 0,
+        sequence_length: 5,
+        l_max: 30,
+        max_block_entries: None,
+        ..TenantConfig::default()
+    };
+    let (base, _) = drive_multi_tenant(build_ledger::<MemStore>(&cfg), &cfg);
+    let mid = Timestamp(cfg.blocks / 2 * 10);
+    let early = Timestamp(cfg.blocks / 4 * 10);
+    let sweep = [
+        Selector::And(vec![
+            Selector::AuthorIs(tenant_key(0).verifying_key()),
+            Selector::OlderThan(mid),
+        ])
+        .compile("hot-tenant-aged"),
+        Selector::AuthorIn((5..13).map(|r| tenant_key(r).verifying_key()).collect())
+            .compile("tail-cohort"),
+        Selector::And(vec![
+            Selector::SchemaIs("tenant".to_string()),
+            Selector::OlderThan(early),
+        ])
+        .compile("schema-aged"),
+        Selector::And(vec![
+            Selector::Ttl(seldel_core::TtlClass::Permanent),
+            Selector::Or(vec![
+                Selector::AuthorIs(tenant_key(1).verifying_key()),
+                Selector::AuthorIs(tenant_key(2).verifying_key()),
+            ]),
+            Selector::OlderThan(mid),
+        ])
+        .compile("permanent-pair-aged"),
+    ];
+
+    let admin = admin_key();
+    for policy in sweep {
+        let policy = policy.expect("well-formed selector");
+        let mut ledger = base.clone();
+        let plan = ledger
+            .apply_policy(&admin, &policy)
+            .expect("admin bulk erasure is authorised");
+        assert!(!plan.is_empty(), "policy {:?} matched nothing", plan.policy);
+        let mut now = cfg.blocks * 10;
+        let mut sealed = 0u64;
+        while ledger.audit_live(plan.matched()).iter().any(|live| *live) {
+            assert!(
+                sealed < 4 * cfg.l_max,
+                "erasure failed to converge for {:?}",
+                plan.policy
+            );
+            now += 10;
+            ledger.seal_block(Timestamp(now)).expect("monotone time");
+            sealed += 1;
+        }
     }
 }

@@ -148,3 +148,49 @@ fn paged_workload_shows_cache_hits_misses_and_evictions() {
     assert_eq!(hits, store.hot_cache_hits());
     assert_eq!(misses, store.hot_cache_misses());
 }
+
+/// A disk-rooted ledger workload under recording surfaces the
+/// instrumented internals a timing alone cannot explain: fsync spans,
+/// hot-cache traffic, the per-lookup counter and the seal span.
+#[test]
+fn disk_rooted_ledger_records_fsync_cache_locate_and_seal_internals() {
+    let _serial = seldel_telemetry::testing::serial();
+    seldel_telemetry::set_enabled(true);
+    Registry::global().reset();
+
+    let dir = ScratchDir::new("telemetry-ledger");
+    let key = SigningKey::from_seed([0x52; 32]);
+    let store = FileStore::open(dir.path())
+        .expect("store opens")
+        .with_hot_cache_capacity(8);
+    let mut ledger = seldel_core::SelectiveLedger::builder(seldel_core::ChainConfig::default())
+        .store_backend::<FileStore>()
+        .open_store(store)
+        .expect("fresh store");
+    for n in 1..=40u64 {
+        ledger
+            .submit_entry(Entry::sign_data(&key, DataRecord::new("log").with("n", n)))
+            .expect("valid entry");
+        ledger.seal_block(Timestamp(n * 10)).expect("monotone time");
+    }
+    ledger.commit_durable();
+    let ids: Vec<_> = ledger
+        .chain()
+        .live_records()
+        .iter()
+        .map(|(id, _)| *id)
+        .collect();
+    for id in &ids {
+        assert!(ledger.chain().locate(*id).is_some());
+    }
+    let snap = Registry::global().snapshot();
+    seldel_telemetry::set_enabled(false);
+
+    let fsync = snap
+        .histogram("fstore.fsync.ns")
+        .expect("fsync span recorded");
+    assert!(fsync.count > 0 && fsync.max >= fsync.p50);
+    assert!(snap.counter("fstore.cache.hit").unwrap_or(0) > 0);
+    assert!(snap.counter("chain.locate").unwrap_or(0) >= ids.len() as u64);
+    assert!(snap.histogram("ledger.seal.ns").is_some());
+}

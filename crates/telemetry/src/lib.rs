@@ -19,8 +19,8 @@
 //!    registry's name lookup happens once per site, not per event.
 //! 3. **One stable surface.** [`Registry::snapshot`] freezes every metric
 //!    into a [`TelemetrySnapshot`] with deterministic (name-sorted) text
-//!    and JSON renderings, so benches can embed a telemetry section in
-//!    their `BENCH_*.json` and sims can assert on internals.
+//!    and JSON renderings, so the benchmark can read layer figures from
+//!    it and sims can assert on internals.
 //!
 //! # Metric naming
 //!

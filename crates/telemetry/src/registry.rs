@@ -130,7 +130,7 @@ impl Registry {
 
     /// Zeroes every registered metric's value. Handles cached at call
     /// sites stay valid — the metrics themselves are reset, not
-    /// replaced — so tests and bench collection passes can delimit an
+    /// replaced — so tests and the benchmark can delimit an
     /// epoch without tearing down the process.
     pub fn reset(&self) {
         let metrics = self.metrics.lock().unwrap_or_else(|e| e.into_inner());

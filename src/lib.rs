@@ -65,8 +65,8 @@ pub use seldel_telemetry as telemetry;
 pub mod prelude {
     pub use seldel_chain::{
         Block, BlockKind, BlockNumber, BlockStore, Blockchain, DeleteRequest, Entry, EntryId,
-        EntryNumber, Expiry, FsyncPolicy, MemStore, SegStore, ShardMap, ShardedIndex,
-        ShardedMempool, Timestamp,
+        EntryNumber, Expiry, FsyncPolicy, MemStore, ShardMap, ShardedIndex, ShardedMempool,
+        Timestamp,
     };
     pub use seldel_codec::{DataRecord, Value};
     pub use seldel_core::{

@@ -315,7 +315,7 @@ fn every_executed_deletion_stays_provable_on_every_backend() {
     assert_every_executed_deletion_provable(SelectiveLedger::new(config()));
     assert_every_executed_deletion_provable(
         SelectiveLedger::builder(config())
-            .store_backend::<SegStore>()
+            .store_backend::<FileStore>()
             .build(),
     );
     let scratch = ScratchDir::new("tombstone-carry");

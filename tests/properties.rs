@@ -307,7 +307,7 @@ proptest! {
     fn index_and_hash_cache_agree_with_full_rebuild(
         ops in proptest::collection::vec(op_strategy(), 1..60)
     ) {
-        use selective_deletion::chain::SegStore;
+        use selective_deletion::chain::FileStore;
 
         let users = users();
         let config = || ChainConfig {
@@ -323,8 +323,8 @@ proptest! {
         };
         // The same random workload drives both storage backends.
         let mut mem = SelectiveLedger::builder(config()).build();
-        let mut seg = SelectiveLedger::builder(config())
-            .store_backend::<SegStore>()
+        let mut unrooted = SelectiveLedger::builder(config())
+            .store_backend::<FileStore>()
             .build();
         let mut now = Timestamp(0);
         // Every id ever observed live, as (id, owner index) — deletion
@@ -341,12 +341,12 @@ proptest! {
                     let expiry = ttl.map(|t| Expiry::AtTimestamp(now + (t as u64) * 10));
                     let entry = Entry::sign_data_with(&users[user], record, expiry, vec![]);
                     mem.submit_entry(entry.clone()).expect("valid entries accepted");
-                    seg.submit_entry(entry).expect("valid entries accepted");
+                    unrooted.submit_entry(entry).expect("valid entries accepted");
                 }
                 Op::SealBlock => {
                     now += 10;
                     mem.seal_block(now).expect("monotone time");
-                    seg.seal_block(now).expect("monotone time");
+                    unrooted.seal_block(now).expect("monotone time");
                     for (id, record) in mem.chain().live_records() {
                         if !seen.iter().any(|(s, _)| *s == id) {
                             let owner = record.get("n").and_then(|v| v.as_u64());
@@ -379,7 +379,7 @@ proptest! {
                     match mem.request_deletion(&users[owner], id, "prop") {
                         Ok(()) => {
                             // Identical state on both backends → same verdict.
-                            seg.request_deletion(&users[owner], id, "prop")
+                            unrooted.request_deletion(&users[owner], id, "prop")
                                 .expect("backends agree on deletion verdicts");
                         }
                         // DuplicatePending: the sharded mempool dedups a
@@ -394,7 +394,7 @@ proptest! {
         }
         now += 10;
         mem.seal_block(now).expect("monotone time");
-        seg.seal_block(now).expect("monotone time");
+        unrooted.seal_block(now).expect("monotone time");
 
         let chain = mem.chain();
         prop_assert_eq!(chain.entry_index(), &chain.rebuilt_index());
@@ -410,11 +410,11 @@ proptest! {
         prop_assert_eq!(chain.locate(ghost), chain.locate_scan(ghost));
 
         // Backends are an implementation detail: bit-identical live chains.
-        prop_assert_eq!(chain.export_bytes(), seg.chain().export_bytes());
-        prop_assert_eq!(chain.tip_hash(), seg.chain().tip_hash());
+        prop_assert_eq!(chain.export_bytes(), unrooted.chain().export_bytes());
+        prop_assert_eq!(chain.tip_hash(), unrooted.chain().tip_hash());
         prop_assert_eq!(
-            seg.chain().entry_index(),
-            &seg.chain().rebuilt_index()
+            unrooted.chain().entry_index(),
+            &unrooted.chain().rebuilt_index()
         );
     }
 }
@@ -686,15 +686,15 @@ proptest! {
     fn sharded_index_queries_match_the_monolithic_oracle(
         ops in proptest::collection::vec(op_strategy(), 1..50),
     ) {
-        use selective_deletion::chain::{FileStore, SegStore};
+        use selective_deletion::chain::FileStore;
 
         let scratch = selective_deletion::chain::testutil::ScratchDir::new("shardprop");
         let dir = scratch.path().to_path_buf();
         let users = users();
         let config = durable_prop_config;
         let mut mem = SelectiveLedger::builder(config()).build();
-        let mut seg = SelectiveLedger::builder(config())
-            .store_backend::<SegStore>()
+        let mut unrooted = SelectiveLedger::builder(config())
+            .store_backend::<FileStore>()
             .build();
         let mut file = SelectiveLedger::builder(config())
             .store_backend::<FileStore>()
@@ -713,13 +713,13 @@ proptest! {
                     let expiry = ttl.map(|t| Expiry::AtTimestamp(now + (t as u64) * 10));
                     let entry = Entry::sign_data_with(&users[user], record, expiry, vec![]);
                     mem.submit_entry(entry.clone()).expect("valid");
-                    seg.submit_entry(entry.clone()).expect("valid");
+                    unrooted.submit_entry(entry.clone()).expect("valid");
                     file.submit_entry(entry).expect("valid");
                 }
                 Op::SealBlock => {
                     now += 10;
                     mem.seal_block(now).expect("monotone");
-                    seg.seal_block(now).expect("monotone");
+                    unrooted.seal_block(now).expect("monotone");
                     file.seal_block(now).expect("monotone");
                     for (id, _) in mem.chain().live_records() {
                         if !seen.iter().any(|(s, _)| *s == id) {
@@ -734,7 +734,7 @@ proptest! {
                     // After every mutation (seal, Σ, merge, marker shift):
                     // sharded maintained state == monolithic rebuild.
                     prop_assert_eq!(mem.chain().entry_index(), &mem.chain().rebuilt_index());
-                    prop_assert_eq!(seg.chain().entry_index(), &seg.chain().rebuilt_index());
+                    prop_assert_eq!(unrooted.chain().entry_index(), &unrooted.chain().rebuilt_index());
                     prop_assert_eq!(file.chain().entry_index(), &file.chain().rebuilt_index());
                 }
                 Op::Delete { pick } => {
@@ -742,7 +742,7 @@ proptest! {
                     let (id, owner) = seen[(pick as usize) % seen.len()];
                     match mem.request_deletion(&users[owner], id, "prop") {
                         Ok(()) => {
-                            seg.request_deletion(&users[owner], id, "prop")
+                            unrooted.request_deletion(&users[owner], id, "prop")
                                 .expect("backends agree on deletion verdicts");
                             file.request_deletion(&users[owner], id, "prop")
                                 .expect("backends agree on deletion verdicts");
@@ -757,7 +757,7 @@ proptest! {
         }
         now += 10;
         mem.seal_block(now).expect("monotone");
-        seg.seal_block(now).expect("monotone");
+        unrooted.seal_block(now).expect("monotone");
         file.seal_block(now).expect("monotone");
 
         // Probe set: every id ever live, plus a ghost that never existed.
@@ -766,16 +766,16 @@ proptest! {
 
         for (label, chain) in [
             ("mem", mem.chain().export_bytes()),
-            ("seg", seg.chain().export_bytes()),
+            ("unrooted", unrooted.chain().export_bytes()),
             ("file", file.chain().export_bytes()),
         ] {
             prop_assert_eq!(&chain, &mem.chain().export_bytes(), "{} diverged", label);
         }
         // Probe-level equivalence on every backend (the helper is generic
-        // because the three chains have different store types).
+        // over the store type).
         let oracle = mem.chain().rebuilt_index();
         assert_probes_match_oracle(mem.chain(), &oracle, &probes);
-        assert_probes_match_oracle(seg.chain(), &oracle, &probes);
+        assert_probes_match_oracle(unrooted.chain(), &oracle, &probes);
         assert_probes_match_oracle(file.chain(), &oracle, &probes);
 
         // Close/reopen the durable backend: recovery's index rebuild must
