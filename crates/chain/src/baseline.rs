@@ -13,7 +13,7 @@ use crate::chain::Blockchain;
 use crate::entry::Entry;
 use crate::error::ChainError;
 use crate::types::{BlockNumber, EntryId, EntryNumber, Timestamp};
-use crate::validate::{validate_chain, ValidationOptions, ValidationReport};
+use crate::validate::{validate_full, ValidationReport};
 
 /// A plain, ever-growing blockchain.
 #[derive(Debug, Clone)]
@@ -77,8 +77,8 @@ impl BaselineChain {
     /// # Errors
     ///
     /// Returns the first violation as a [`ChainError`].
-    pub fn validate(&self, opts: &ValidationOptions) -> Result<ValidationReport, ChainError> {
-        validate_chain(&self.chain, opts)
+    pub fn validate(&self) -> Result<ValidationReport, ChainError> {
+        validate_full(&self.chain)
     }
 
     /// Ids of all data entries, in chain order.
@@ -126,14 +126,14 @@ mod tests {
         }
         assert_eq!(base.len(), 51);
         assert_eq!(base.record_ids().len(), 50);
-        base.validate(&ValidationOptions::default()).unwrap();
+        base.validate().unwrap();
     }
 
     #[test]
     fn validates_clean() {
         let mut base = BaselineChain::new("base", Timestamp(0));
         base.append(Timestamp(5), vec![entry(1)]).unwrap();
-        let report = base.validate(&ValidationOptions::default()).unwrap();
+        let report = base.validate().unwrap();
         assert_eq!(report.blocks_checked, 2);
         assert_eq!(report.entries_verified, 1);
     }

@@ -76,6 +76,6 @@ pub use store::{BlockRef, BlockStore, MemStore, SealedBlock};
 pub use summary::{Anchor, SummaryRecord};
 pub use types::{BlockNumber, EntryId, EntryNumber, Expiry, Timestamp};
 pub use validate::{
-    build_anchor, validate_chain, validate_full, validate_incremental, validate_store_incremental,
-    verify_anchor, IncrementalReport, ValidationOptions, ValidationReport,
+    build_anchor, validate_full, validate_incremental, validate_store_incremental, verify_anchor,
+    IncrementalReport, ValidationReport,
 };

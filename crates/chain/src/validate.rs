@@ -15,38 +15,6 @@ use crate::store::{BlockRef, BlockStore};
 use crate::summary::Anchor;
 use crate::types::BlockNumber;
 
-/// What to verify beyond pure structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ValidationOptions {
-    /// Verify every entry's author signature.
-    pub verify_entry_signatures: bool,
-    /// Verify the carried signatures inside summary records.
-    pub verify_summary_records: bool,
-    /// Verify Fig. 9 anchors whose ranges are still live.
-    pub verify_anchors: bool,
-}
-
-impl Default for ValidationOptions {
-    fn default() -> Self {
-        ValidationOptions {
-            verify_entry_signatures: true,
-            verify_summary_records: true,
-            verify_anchors: true,
-        }
-    }
-}
-
-impl ValidationOptions {
-    /// Structure-only validation (hash links, numbering, timestamps).
-    pub fn structural() -> ValidationOptions {
-        ValidationOptions {
-            verify_entry_signatures: false,
-            verify_summary_records: false,
-            verify_anchors: false,
-        }
-    }
-}
-
 /// Counters describing a completed validation pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ValidationReport {
@@ -73,7 +41,10 @@ pub struct IncrementalReport {
     pub roots_recomputed: u64,
 }
 
-/// Validates the live chain from the marker to the tip.
+/// Full validation of the live chain from the marker to the tip: hash
+/// links, numbering, timestamps, every entry and summary-record
+/// signature, and the Fig. 9 anchors whose ranges are still live — the
+/// expensive auditor pass the incremental pass is measured against.
 ///
 /// Hash-link checks read the per-block digest cache (computed once when
 /// each block entered the store); payload commitments are still re-derived
@@ -82,10 +53,7 @@ pub struct IncrementalReport {
 /// # Errors
 ///
 /// Returns the first violation found, as a [`ChainError`].
-pub fn validate_chain<S: BlockStore>(
-    chain: &Blockchain<S>,
-    opts: &ValidationOptions,
-) -> Result<ValidationReport, ChainError> {
+pub fn validate_full<S: BlockStore>(chain: &Blockchain<S>) -> Result<ValidationReport, ChainError> {
     let mut report = ValidationReport::default();
     let mut prev: Option<BlockRef<'_>> = None;
 
@@ -128,40 +96,34 @@ pub fn validate_chain<S: BlockStore>(
             }
         }
 
-        if opts.verify_entry_signatures {
-            for (i, entry) in block.entries().iter().enumerate() {
-                entry
-                    .verify()
-                    .map_err(|source| ChainError::EntrySignatureInvalid {
-                        block: number,
-                        entry: i as u32,
-                        source,
-                    })?;
-                report.entries_verified += 1;
-            }
+        for (i, entry) in block.entries().iter().enumerate() {
+            entry
+                .verify()
+                .map_err(|source| ChainError::EntrySignatureInvalid {
+                    block: number,
+                    entry: i as u32,
+                    source,
+                })?;
+            report.entries_verified += 1;
         }
-        if opts.verify_summary_records {
-            for record in block.summary_records() {
-                record
-                    .verify()
-                    .map_err(|source| ChainError::RecordSignatureInvalid {
-                        block: number,
-                        origin: record.origin(),
-                        source,
-                    })?;
-                report.records_verified += 1;
-            }
+        for record in block.summary_records() {
+            record
+                .verify()
+                .map_err(|source| ChainError::RecordSignatureInvalid {
+                    block: number,
+                    origin: record.origin(),
+                    source,
+                })?;
+            report.records_verified += 1;
         }
-        if opts.verify_anchors {
-            if let Some(anchor) = block.anchor() {
-                // Anchors over pruned ranges cannot be re-derived; only
-                // check those still fully live.
-                if chain.get(anchor.start).is_some() && chain.get(anchor.end).is_some() {
-                    if !verify_anchor(chain, anchor) {
-                        return Err(ChainError::AnchorMismatch { block: number });
-                    }
-                    report.anchors_verified += 1;
+        if let Some(anchor) = block.anchor() {
+            // Anchors over pruned ranges cannot be re-derived; only check
+            // those still fully live.
+            if chain.get(anchor.start).is_some() && chain.get(anchor.end).is_some() {
+                if !verify_anchor(chain, anchor) {
+                    return Err(ChainError::AnchorMismatch { block: number });
                 }
+                report.anchors_verified += 1;
             }
         }
 
@@ -172,20 +134,9 @@ pub fn validate_chain<S: BlockStore>(
     Ok(report)
 }
 
-/// Full validation with the default options — the expensive auditor pass
-/// (`validate_chain` re-hashing every payload and verifying every
-/// signature) the incremental pass is benchmarked against.
-///
-/// # Errors
-///
-/// Same as [`validate_chain`].
-pub fn validate_full<S: BlockStore>(chain: &Blockchain<S>) -> Result<ValidationReport, ChainError> {
-    validate_chain(chain, &ValidationOptions::default())
-}
-
 /// Incremental validation over the cached seal-time commitments.
 ///
-/// Where [`validate_chain`] re-derives every payload root from the body
+/// Where [`validate_full`] re-derives every payload root from the body
 /// (hashing every entry and record again), this pass compares each sealed
 /// block's **cached** payload root — computed once when the block entered
 /// the store, whether by live push or durable replay — against the header
@@ -336,17 +287,9 @@ mod tests {
     #[test]
     fn valid_chain_passes_full_validation() {
         let c = chain(6);
-        let report = validate_chain(&c, &ValidationOptions::default()).unwrap();
+        let report = validate_full(&c).unwrap();
         assert_eq!(report.blocks_checked, 7);
         assert_eq!(report.entries_verified, 6);
-    }
-
-    #[test]
-    fn structural_only_skips_signatures() {
-        let c = chain(3);
-        let report = validate_chain(&c, &ValidationOptions::structural()).unwrap();
-        assert_eq!(report.blocks_checked, 4);
-        assert_eq!(report.entries_verified, 0);
     }
 
     #[test]
@@ -355,7 +298,7 @@ mod tests {
         c.truncate_front(BlockNumber(3)).unwrap();
         // First live block's prev_hash points at a pruned block — validation
         // must still pass (trust anchor semantics).
-        let report = validate_chain(&c, &ValidationOptions::default()).unwrap();
+        let report = validate_full(&c).unwrap();
         assert_eq!(report.blocks_checked, 4);
     }
 
@@ -388,7 +331,7 @@ mod tests {
             },
         ))
         .unwrap();
-        let report = validate_chain(&c, &ValidationOptions::default()).unwrap();
+        let report = validate_full(&c).unwrap();
         assert_eq!(report.anchors_verified, 1);
     }
 
@@ -548,7 +491,7 @@ mod tests {
         ))
         .unwrap();
         assert!(matches!(
-            validate_chain(&c, &ValidationOptions::default()),
+            validate_full(&c),
             Err(ChainError::AnchorMismatch { .. })
         ));
     }

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use seldel_chain::{
-    validate_chain, Block, BlockBody, BlockNumber, Blockchain, Entry, EntryId, EntryNumber,
-    SummaryRecord, Timestamp, ValidationOptions,
+    validate_full, Block, BlockBody, BlockNumber, Blockchain, Entry, EntryId, EntryNumber,
+    SummaryRecord, Timestamp,
 };
 use seldel_codec::{Codec, DataRecord};
 use seldel_crypto::SigningKey;
@@ -110,7 +110,7 @@ proptest! {
     #[test]
     fn chains_validate_and_round_trip(blocks in 0u64..12, entries in 0u8..4) {
         let chain = build_chain(blocks, entries);
-        validate_chain(&chain, &ValidationOptions::default()).expect("valid");
+        validate_full(&chain).expect("valid");
         // Export/import is lossless.
         let rebuilt = Blockchain::from_blocks(chain.export_blocks()).expect("relink");
         prop_assert_eq!(&rebuilt, &chain);
@@ -125,7 +125,7 @@ proptest! {
         prop_assert_eq!(removed.len() as u64, cut);
         prop_assert_eq!(chain.marker(), BlockNumber(cut));
         prop_assert_eq!(chain.len(), blocks + 1 - cut);
-        validate_chain(&chain, &ValidationOptions::default()).expect("suffix valid");
+        validate_full(&chain).expect("suffix valid");
         // Pruned numbers resolve to nothing; live numbers resolve.
         if cut > 0 {
             prop_assert!(chain.get(BlockNumber(cut - 1)).is_none());
@@ -181,7 +181,7 @@ proptest! {
         prop_assert_eq!(reference.tip_hash(), reopened.tip_hash());
         prop_assert_eq!(reopened.entry_index(), &reopened.rebuilt_index());
         prop_assert!(reopened.verify_cached_hashes());
-        validate_chain(&reopened, &ValidationOptions::default()).expect("valid");
+        validate_full(&reopened).expect("valid");
     }
 
     /// Satellite of the shard subsystem PR, extending the PR 2 index

@@ -1,4 +1,4 @@
-//! Canonical serialisation, record schemas and console rendering.
+//! Canonical serialisation and record schemas.
 //!
 //! Summary blocks in the selective-deletion design are **derived locally by
 //! every anchor node and never propagated** (paper §IV-B) — consistency is
@@ -11,9 +11,6 @@
 //! specified beforehand by a YAML schema" (§V). The [`schema`] module
 //! implements a typed record schema with a YAML-subset parser and a
 //! validating [`schema::SchemaRegistry`].
-//!
-//! Finally, [`render`] holds the text-table helpers used to reproduce the
-//! console output of the paper's Figs. 6–8.
 //!
 //! # Example
 //!
@@ -31,7 +28,6 @@
 #![warn(missing_docs)]
 
 mod enc;
-pub mod render;
 pub mod schema;
 mod value;
 

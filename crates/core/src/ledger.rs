@@ -194,7 +194,7 @@ impl<S: BlockStore> SelectiveLedgerBuilder<S> {
             return Ok(self.into_ledger(chain));
         }
         let chain = Blockchain::from_store(store)?;
-        seldel_chain::validate_chain(&chain, &seldel_chain::ValidationOptions::default())?;
+        seldel_chain::validate_full(&chain)?;
         let mut ledger = self.into_ledger(chain);
         ledger.recover_derived_state();
         Ok(ledger)
@@ -992,7 +992,7 @@ impl<S: BlockStore> SelectiveLedger<S> {
         // Stage and validate in memory first so a bad offer cannot disturb
         // the (possibly durable) local store.
         let staged: Blockchain<seldel_chain::MemStore> = Blockchain::assemble(blocks)?;
-        seldel_chain::validate_chain(&staged, &seldel_chain::ValidationOptions::default())?;
+        seldel_chain::validate_full(&staged)?;
 
         let old_marker = self.chain.marker();
         self.chain.replace_with(&staged);
@@ -1116,8 +1116,7 @@ mod tests {
         assert!(stats.marker > BlockNumber(0));
         // All records still reachable.
         assert_eq!(stats.live_records, 40);
-        seldel_chain::validate_chain(ledger.chain(), &seldel_chain::ValidationOptions::default())
-            .unwrap();
+        seldel_chain::validate_full(ledger.chain()).unwrap();
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //!   `NewBlock` broadcasts on.
 //!
 //! The driver asserts (panicking on violation, like every sim invariant
-//! check) and also returns a [`CrashReport`] so experiment binaries can
-//! print/serialise the outcome.
+//! check) and also returns a [`CrashReport`] so tests can assert on the
+//! outcome.
 
 use std::collections::BTreeMap;
 use std::fs;

@@ -13,7 +13,7 @@
 //! * [`tenants`] — the multi-tenant workload (Zipf-skewed authors, mixed
 //!   insert/delete/query) behind the sharded query & intake subsystem's
 //!   fairness and equivalence tests.
-//! * [`metrics`] — summary statistics for the harness.
+//! * [`metrics`] — the nearest-rank percentile for the harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +39,7 @@ pub use crash::{
 pub use growth::{run_growth, run_growth_in, sweep_l_max, GrowthConfig, GrowthSample};
 pub use latency::{mean_latency_blocks, run_latency, LatencyConfig, LatencySample};
 pub use login::{LoginAudit, LOGIN_SCHEMA_YAML, USERS};
-pub use metrics::{mean, percentile, stddev, Summary};
+pub use metrics::percentile;
 pub use supply::{SupplyChain, PRODUCT_SCHEMA_YAML};
 pub use tenants::{
     drive_multi_tenant, run_multi_tenant, run_multi_tenant_in, tenant_chain_config, TenantConfig,

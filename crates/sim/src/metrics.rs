@@ -1,22 +1,4 @@
-//! Small statistics helpers for the experiment harness.
-
-/// Arithmetic mean; 0 for empty input.
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().sum::<f64>() / values.len() as f64
-}
-
-/// Population standard deviation; 0 for fewer than two values.
-pub fn stddev(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    let var = values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64;
-    var.sqrt()
-}
+//! The nearest-rank percentile used by the harness.
 
 /// Percentile via **nearest-rank** on a copy of the data (p in 0..=100):
 /// with `n` values the rank is `k = ceil(p/100 · n)` clamped to `[1, n]`,
@@ -36,63 +18,9 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
     sorted[k - 1]
 }
 
-/// A five-number-ish summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Smallest observation.
-    pub min: f64,
-    /// Largest observation.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Median.
-    pub p50: f64,
-    /// 90th percentile.
-    pub p90: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// Sample size.
-    pub count: usize,
-}
-
-impl Summary {
-    /// Summarises `values`; all-zero summary for empty input.
-    pub fn of(values: &[f64]) -> Summary {
-        if values.is_empty() {
-            return Summary {
-                min: 0.0,
-                max: 0.0,
-                mean: 0.0,
-                p50: 0.0,
-                p90: 0.0,
-                p99: 0.0,
-                count: 0,
-            };
-        }
-        Summary {
-            min: values.iter().copied().fold(f64::INFINITY, f64::min),
-            max: values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            mean: mean(values),
-            p50: percentile(values, 50.0),
-            p90: percentile(values, 90.0),
-            p99: percentile(values, 99.0),
-            count: values.len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_and_stddev() {
-        let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert!((mean(&v) - 5.0).abs() < 1e-9);
-        assert!((stddev(&v) - 2.0).abs() < 1e-9);
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(stddev(&[1.0]), 0.0);
-    }
 
     #[test]
     fn percentiles() {
@@ -120,17 +48,5 @@ mod tests {
         // A single sample is every percentile.
         assert_eq!(percentile(&[7.0], 1.0), 7.0);
         assert_eq!(percentile(&[7.0], 99.0), 7.0);
-    }
-
-    #[test]
-    fn summary_of_sample() {
-        let v = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let s = Summary::of(&v);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.count, 5);
-        assert!((s.mean - 3.0).abs() < 1e-9);
-        let empty = Summary::of(&[]);
-        assert_eq!(empty.count, 0);
     }
 }

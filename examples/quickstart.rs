@@ -53,9 +53,7 @@ fn main() -> Result<(), CoreError> {
     );
 
     // 5. And the chain still validates from its status quo.
-    let report =
-        seldel_chain::validate_chain(ledger.chain(), &seldel_chain::ValidationOptions::default())
-            .expect("chain is valid");
+    let report = seldel_chain::validate_full(ledger.chain()).expect("chain is valid");
     println!(
         "validated {} live blocks, {} entry signatures, {} carried records",
         report.blocks_checked, report.entries_verified, report.records_verified

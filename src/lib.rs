@@ -17,7 +17,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`crypto`] | `seldel-crypto` | SHA-2, HMAC, Merkle trees, Ed25519 (from scratch) |
-//! | [`codec`] | `seldel-codec` | canonical encoding, YAML-subset schemas, console rendering |
+//! | [`codec`] | `seldel-codec` | canonical encoding, YAML-subset schemas |
 //! | [`chain`] | `seldel-chain` | blocks, entries, summary records, the live chain β, pluggable `BlockStore` backends + entry index |
 //! | [`core`] | `seldel-core` | the paper's contribution: [`core::SelectiveLedger`] |
 //! | [`network`] | `seldel-network` | deterministic simnet with fault injection |

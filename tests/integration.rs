@@ -1,7 +1,7 @@
 //! End-to-end integration tests across all crates: a simulated anchor
 //! cluster with clients and the full deletion workflow cluster-wide.
 
-use selective_deletion::chain::{validate_chain, ValidationOptions};
+use selective_deletion::chain::validate_full;
 use selective_deletion::codec::DataRecord;
 use selective_deletion::crypto::SigningKey;
 use selective_deletion::network::{NetConfig, NodeId, SimNetwork};
@@ -77,7 +77,7 @@ fn cluster_wide_deletion_workflow() {
             node.ledger().chain().marker().value() > 0,
             "{id} never pruned"
         );
-        validate_chain(node.ledger().chain(), &ValidationOptions::default())
+        validate_full(node.ledger().chain())
             .unwrap_or_else(|e| panic!("{id} invalid after deletion: {e}"));
     }
 }
@@ -246,7 +246,7 @@ fn anchored_chain_validates_and_hampers_rewrites() {
         .filter_map(|b| b.block().anchor().map(|a| (b.number(), *a)))
         .collect();
     assert!(!anchored.is_empty(), "no anchors embedded");
-    let report = validate_chain(ledger.chain(), &ValidationOptions::default()).unwrap();
+    let report = validate_full(ledger.chain()).unwrap();
     // At least the newest anchor ranges may still be live and verified.
     let _ = report.anchors_verified;
 }

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use selective_deletion::chain::{validate_chain, ValidationOptions};
+use selective_deletion::chain::validate_full;
 use selective_deletion::codec::{Codec, DataRecord, Value};
 use selective_deletion::crypto::{MerkleTree, SigningKey};
 use selective_deletion::prelude::*;
@@ -255,7 +255,7 @@ proptest! {
         }
 
         // I1: the chain validates fully.
-        validate_chain(ledger.chain(), &ValidationOptions::default()).expect("valid chain");
+        validate_full(ledger.chain()).expect("valid chain");
 
         // I5: executed deletions never resurface.
         for id in &requested_deletions {
